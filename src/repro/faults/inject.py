@@ -496,5 +496,8 @@ class FaultyMachine:
 
                 return kernel
 
+            # Deliberately no ``functools.wraps``: the wrapper must not
+            # inherit the program's ``__replay_fp__``, so a replay
+            # machine underneath never serves a faulty run from cache.
             wrapped[core_id] = make(program, fctx)
         return self.inner.run(wrapped, max_cycles=max_cycles)

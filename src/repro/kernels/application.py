@@ -89,6 +89,7 @@ def _merge_stage_kernel(stage: StagePlan, n_cores: int):
         yield from ctx.dma_wait(token)
         yield from ctx.barrier()
 
+    kernel.__replay_fp__ = ("ffbp-merge-stage", stage, n_cores)
     return kernel
 
 

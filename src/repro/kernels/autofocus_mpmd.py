@@ -104,6 +104,7 @@ def _ri_program(work: AutofocusWorkload, lane_pixels: int):
                 yield from out.send(ctx, lane_bytes)
         ctx.local.free(2 * lane_bytes)
 
+    program.__replay_fp__ = ("autofocus-ri", work, lane_pixels)
     return program
 
 
@@ -123,6 +124,7 @@ def _bi_program(work: AutofocusWorkload, lane_pixels: int):
                 yield from ctx.work(interp)
                 yield from out.send(ctx, lane_bytes)
 
+    program.__replay_fp__ = ("autofocus-bi", work, lane_pixels)
     return program
 
 
@@ -142,6 +144,7 @@ def _corr_program(work: AutofocusWorkload):
         # Final criterion value to SDRAM (posted write).
         yield from ctx.work(OpBlock(), [store(8)])
 
+    program.__replay_fp__ = ("autofocus-corr", work)
     return program
 
 

@@ -39,6 +39,7 @@ def autofocus_seq_kernel(work: AutofocusWorkload):
         yield from ctx.work(type(AUTOFOCUS_CORR)(), [store(8)])
         ctx.local.free(2 * work.block_bytes)
 
+    kernel.__replay_fp__ = ("autofocus-seq", work)
     return kernel
 
 

@@ -51,6 +51,7 @@ def ffbp_seq_kernel(plan: FfbpPlan):
                     yield from ctx.ext_scatter_read(reads_total[k])
                     yield from ctx.work(blocks[k], row_store)
 
+    kernel.__replay_fp__ = ("ffbp-seq", plan)
     return kernel
 
 

@@ -55,8 +55,6 @@ def ffbp_spmd_kernel(plan: FfbpPlan, n_cores: int, interpolation: str = "nearest
     blocks are memoised and frozen, so per-row lookups reduce to list
     indexing on both backends.
     """
-    from repro.replay.fingerprint import UNCACHEABLE, fingerprint_value
-
     stage_rows = []
     for stage in plan.stages:
         row_bytes = stage.n_ranges * COMPLEX_BYTES
@@ -104,13 +102,9 @@ def ffbp_spmd_kernel(plan: FfbpPlan, n_cores: int, interpolation: str = "nearest
 
     # Everything the generator's behaviour depends on beyond source
     # code (which the memo layer's code_version covers) is the plan,
-    # the core count and the interpolation mode: declare that as the
-    # replay fingerprint so the cache key walk is O(plan), not
-    # O(op-stream).  The verify gate's byte-identity oracles are the
-    # backstop should this declaration ever go stale.
-    plan_fp = fingerprint_value(plan)
-    if plan_fp is not UNCACHEABLE:
-        kernel.__replay_fp__ = ("ffbp-spmd", plan_fp, n_cores, interpolation)
+    # the core count and the interpolation mode: the replay cache key
+    # (see repro.replay.machine).
+    kernel.__replay_fp__ = ("ffbp-spmd", plan, n_cores, interpolation)
 
     return kernel
 

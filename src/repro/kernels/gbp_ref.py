@@ -104,6 +104,7 @@ def gbp_spmd_kernel(cfg: RadarConfig, n_cores: int, n_pixels: int | None = None)
         yield from ctx.work(OpBlock(), [store(my_pixels * COMPLEX_BYTES)])
         yield from ctx.barrier()
 
+    kernel.__replay_fp__ = ("gbp-spmd", cfg, n_cores, pixels)
     return kernel
 
 

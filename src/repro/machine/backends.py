@@ -48,8 +48,10 @@ the compiled schedule byte-identically (see :mod:`repro.replay`)::
     get_machine("replay(analytic:e16)") # legal; pure pass-through
 
 Non-chip inners (analytic, fabrics, ``faulty(...)`` wrappers) pass
-through untouched, and fault plans anywhere in a program's closures
-make the run uncacheable -- chaos semantics never come from a cache.
+through untouched, and only programs whose builder declared a replay
+key are cached.  A ``faulty(...)`` wrapper outside hands the replay
+machine undeclared closures, so chaos semantics never come from a
+cache.
 
 New backends register with :func:`register_backend`; the CLI and the
 eval drivers (`--backend`) pass user strings straight to

@@ -6,15 +6,12 @@ schedule into a :class:`~repro.replay.schedule.CompiledSchedule`, and
 replays it on later runs -- byte-identical cycles, traces, golden
 fingerprints and energy, at a fraction of the wall clock (see
 docs/architecture.md §16 and the ``replay`` section of the verify
-gate).
+gate).  Programs are keyed by the ``__replay_fp__`` declaration their
+kernel builder attaches (:func:`~repro.replay.machine.declared_key`);
+an undeclared program always runs cold.
 """
 
-from repro.replay.fingerprint import (
-    UNCACHEABLE,
-    fingerprint_programs,
-    fingerprint_value,
-)
-from repro.replay.machine import ReplayMachine
+from repro.replay.machine import ReplayMachine, declared_key
 from repro.replay.schedule import (
     SCHEMA_VERSION,
     ChipState,
@@ -26,10 +23,8 @@ from repro.replay.schedule import (
 )
 
 __all__ = [
-    "UNCACHEABLE",
-    "fingerprint_programs",
-    "fingerprint_value",
     "ReplayMachine",
+    "declared_key",
     "SCHEMA_VERSION",
     "ChipState",
     "CompiledSchedule",

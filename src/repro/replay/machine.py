@@ -15,9 +15,18 @@ Caching flows through :func:`repro.perf.memo.memoize` under the
 the opt-in on-disk :class:`~repro.exec.cache.ResultCache`, whose entry
 key embeds :func:`~repro.exec.cache.code_version` -- any source edit
 invalidates every captured schedule at once.  The memo payload key is
-the schema version, the canonical spec string *and* the full spec
-dataclass, the pre-run :class:`~repro.replay.schedule.ChipState`, the
-structural program fingerprint and ``max_cycles``.
+the schema version, the spec dataclass, the pre-run
+:class:`~repro.replay.schedule.ChipState`, the programs' declared keys
+(see :func:`declared_key`), ``max_cycles`` and recorder presence.
+
+**Declared keys.**  A program is cacheable only if the builder that
+made it attached a ``__replay_fp__`` attribute: a digest-stable value
+(primitives, tuples, dataclasses, ndarrays) holding every input the
+generator's behaviour depends on beyond its source code -- a plan, a
+core count, an interpolation mode.  Source code itself is covered by
+``code_version``.  The verify gate's byte-identity oracles and the
+key-completeness tests in ``tests/replay`` are the backstop for an
+incomplete declaration.
 
 Safety valves (all observable through :meth:`stats`):
 
@@ -25,10 +34,9 @@ Safety valves (all observable through :meth:`stats`):
   pass-through -- ``bypassed`` counts those runs;
 - pending engine events or live processes at run entry (a stalled
   prior phase, an un-drained ``set_flag_at`` landing) bypass capture;
-- a program set that cannot be soundly fingerprinted (live generator,
-  opaque object, a :class:`~repro.faults.plan.FaultPlan` carrying
-  clauses anywhere in its closures) runs cold and caches nothing --
-  ``uncacheable`` counts them.  This is what guarantees any
+- a program set with any undeclared program runs cold and caches
+  nothing -- ``uncacheable`` counts them.  The fault layer wraps every
+  program in a fresh undeclared closure, which is what guarantees any
   ``faulty(...)`` wrapper or chaos clause misses the cache;
 - a run that stalls (exhausts ``max_cycles``) is remembered as an
   *always-cold* class via the invalid-schedule sentinel.
@@ -52,7 +60,34 @@ from repro.replay.schedule import (
     snapshot_chip,
 )
 
-__all__ = ["ReplayMachine"]
+__all__ = ["ReplayMachine", "declared_key"]
+
+
+def declared_key(programs: Programs) -> tuple | None:
+    """The replay-cache key of a core->program mapping, or ``None``.
+
+    One ``(core, digest)`` entry per core, where the digest covers the
+    program's module, qualname and ``__replay_fp__`` declaration.
+    ``None`` when any program is undeclared: such a set is never
+    cached.  A program mapped onto several cores (SPMD) is digested
+    once.
+    """
+    from repro.exec.cache import stable_digest
+
+    digests: dict[int, str] = {}
+    entries = []
+    for core in sorted(programs):
+        program = programs[core]
+        digest = digests.get(id(program))
+        if digest is None:
+            declared = getattr(program, "__replay_fp__", None)
+            if declared is None:
+                return None
+            digest = digests[id(program)] = stable_digest(
+                (program.__module__, program.__qualname__, declared)
+            )
+        entries.append((core, digest))
+    return tuple(entries)
 
 
 class ReplayMachine:
@@ -147,20 +182,15 @@ class ReplayMachine:
             # class we can key.
             self.bypassed += 1
             return self._cold(programs, max_cycles)
-        from repro.replay.fingerprint import UNCACHEABLE, fingerprint_programs
-
-        fingerprint = fingerprint_programs(programs)
-        if fingerprint is UNCACHEABLE:
+        key = declared_key(programs)
+        if key is None:
             self.uncacheable += 1
             return self._cold(programs, max_cycles)
-        spec = inner.spec
         payload = {
             "schema": SCHEMA_VERSION,
-            "spec_str": f"{spec.mesh_rows}x{spec.mesh_cols}@{spec.clock_hz:g}",
-            "spec": spec,
-            "plan": "",  # fault plans never reach the cacheable path
+            "spec": inner.spec,
             "pre": snapshot_chip(inner),
-            "programs": fingerprint,
+            "programs": key,
             "max_cycles": max_cycles,
             "recorder": inner.recorder is not None,
         }

@@ -131,22 +131,6 @@ class CompiledSchedule:
     def n_intervals(self) -> int:
         return 0 if self.interval_cores is None else int(len(self.interval_cores))
 
-    def timeline(self) -> "np.ndarray":
-        """The captured activity timeline as one structured array."""
-        import numpy as np
-
-        n = self.n_intervals()
-        out = np.zeros(
-            n,
-            dtype=[("core", "i8"), ("kind", "i8"), ("start", "i8"), ("end", "i8")],
-        )
-        if n:
-            out["core"] = self.interval_cores
-            out["kind"] = self.interval_kinds
-            out["start"] = self.interval_starts
-            out["end"] = self.interval_ends
-        return out
-
 
 INVALID_SCHEDULE = CompiledSchedule(
     valid=False,

@@ -84,6 +84,15 @@ class Channel:
         if payload_bytes is not None:
             machine.context(dst_core).local.allocate(capacity * payload_bytes)
 
+    @property
+    def untouched(self) -> bool:
+        """True until a run has sent on or waited at this channel.
+
+        Every send counts a message; a receive that starts on an empty
+        channel parks ``_recv_flag`` until the next send clears it.
+        """
+        return self.messages == 0 and self._recv_flag is None
+
     # ------------------------------------------------------------------
     def _guarded_wait(
         self, ctx: MachineContext, flag: Any, role: str

@@ -130,6 +130,12 @@ class DataflowGraph:
                 for ch in outs.values():
                     yield from ch.send(ctx, self._payload(name, ch))
 
+        program.__replay_fp__ = (
+            "dataflow-node",
+            spec,
+            firings,
+            tuple((e.dst, e.nbytes) for e in self.edges if e.src == name),
+        )
         return program
 
     def _payload(self, src: str, channel) -> int:

@@ -112,6 +112,7 @@ class Pipeline:
                 return kernel
 
             programs[core] = make(task.program, ins, outs)
+        self._declare_replay_keys(programs)
         try:
             result = self.machine.run(programs, max_cycles=max_cycles)
         except CONTAINED_FAILURES:
@@ -127,6 +128,36 @@ class Pipeline:
         if result.stalled:
             result = replace(result, wait_states=self.blocked_waits())
         return result
+
+    def _declare_replay_keys(self, programs: Programs) -> None:
+        """Attach a replay cache key to each task's wrapper kernel.
+
+        A wrapper's behaviour is its task program (keyed by the task
+        builder's own ``__replay_fp__``), the placement and the channel
+        wiring.  Channel *state* is not part of the key, so a key is
+        declared only while every channel is untouched: a re-run
+        pipeline runs cold.  Any undeclared task program leaves its
+        wrapper undeclared, which also keeps the whole run cold.
+        """
+        if not all(ch.untouched for ch in self.channels.values()):
+            return
+        placement = tuple(
+            (name, self.placement.core_id(name)) for name in self.tasks
+        )
+        wiring = tuple(
+            (edge, ch.capacity, ch.payload_bytes, ch.watchdog)
+            for edge, ch in self.channels.items()
+        )
+        for name, task in self.tasks.items():
+            declared = getattr(task.program, "__replay_fp__", None)
+            if declared is not None:
+                programs[self.placement.core_id(name)].__replay_fp__ = (
+                    "mpmd-task",
+                    name,
+                    declared,
+                    placement,
+                    wiring,
+                )
 
     def blocked_waits(self) -> tuple[BlameReport, ...]:
         """The channels with a flag wait pending right now, blamed.

@@ -77,12 +77,12 @@ __all__ = [
 CHAOS_BACKENDS = ("event", "analytic", "replay")
 """Backends every chaos case runs against.
 
-``replay`` rides the same cases as ``event``: the fault wrapper's
-closures carry the plan, so the replay fingerprint refuses to cache
-them and every injected run executes cold -- chaos coverage here is
-the end-to-end proof of that must-miss contract (the fault-free
-parity runs may legitimately replay: they are byte-identical by the
-gate's own replay section)."""
+``replay`` rides the same cases as ``event``: the fault wrapper hands
+the replay machine fresh closures that declare no replay key, so they
+are never cached and every injected run executes cold -- chaos
+coverage here is the end-to-end proof of that must-miss contract (the
+fault-free parity runs may legitimately replay: they are
+byte-identical by the gate's own replay section)."""
 
 CHAOS_SPEC = "e16"
 

@@ -55,6 +55,7 @@ from repro.verify.oracles import (
     work_parity_oracle,
 )
 from repro.verify.fuzz import FUZZ_DRIVERS
+from repro.verify.replay import REPLAY_WORKLOADS
 from repro.verify.tolerance import Check, failures, format_checks
 
 __all__ = ["GateReport", "run_verify", "DEFAULT_SEED"]
@@ -279,10 +280,7 @@ def run_verify(
     )
 
     # -- 1c. replay conformance (trace-compiled == cold event) ----------
-    replay_workloads = ("ffbp_spmd16",) if quick else (
-        "ffbp_spmd16",
-        "autofocus_mpmd",
-    )
+    replay_workloads = ("ffbp_spmd16",) if quick else REPLAY_WORKLOADS
     for wl_name in replay_workloads:
         cell(
             f"replay/identity/{wl_name}",

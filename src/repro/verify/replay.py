@@ -6,13 +6,13 @@ event run it stands in for -- same cycles, seconds, energy, power,
 every per-core trace counter bit-for-bit, same results, same
 activity-recorder intervals.  Two oracles enforce the contract:
 
-- :func:`replay_identity_oracle` runs one workload three ways -- cold
-  on the bare event backend, on a fresh replay machine (the capture),
-  and on a second fresh replay machine (the hit) -- and compares every
-  observable exactly.  It also asserts that the hit really *was* a
-  replay (``stats()["replays"] == 1``): a silently-bypassing cache
-  would pass the identity clauses while delivering none of the
-  speedup.
+- :func:`replay_identity_oracle` runs one of :data:`REPLAY_WORKLOADS`
+  three ways -- cold on the bare event backend, on a fresh replay
+  machine (the capture), and on a second fresh replay machine (the
+  hit) -- and compares every observable exactly.  It also asserts
+  that the hit really *was* a replay (``stats()["replays"] == 1``): a
+  silently-bypassing cache would pass the identity clauses while
+  delivering none of the speedup.
 - :func:`replay_golden_oracle` rebuilds a registered golden
   fingerprint under ``replay(event:e16)`` and compares it field-exact
   against the ``event:e16`` build (the ``backend`` label normalised
@@ -33,7 +33,20 @@ __all__ = [
     "replay_identity_oracle",
     "replay_golden_oracle",
     "REPLAY_TRACE_FIELDS",
+    "REPLAY_WORKLOADS",
 ]
+
+REPLAY_WORKLOADS: tuple[str, ...] = (
+    "ffbp_spmd16",
+    "autofocus_mpmd",
+    "ffbp_seq",
+    "autofocus_seq",
+    "gbp_spmd16",
+    "linear_chain",
+)
+"""One workload per kernel builder that declares a replay key: the
+FFBP SPMD and sequential kernels, the autofocus MPMD pipeline and
+sequential kernel, SPMD GBP, and a generated dataflow pipeline."""
 
 REPLAY_TRACE_FIELDS: tuple[str, ...] = (
     "total_flops",
@@ -115,19 +128,45 @@ def _identity_checks(prefix: str, ref: Any, cand: Any) -> list[Check]:
     return checks
 
 
-def _run_workload(machine: Any, workload: str) -> Any:
-    if workload == "ffbp_spmd16":
-        from repro.kernels.ffbp_common import plan_ffbp
-        from repro.kernels.ffbp_spmd import run_ffbp_spmd
-        from repro.sar.config import RadarConfig
+def _small_plan():
+    from repro.kernels.ffbp_common import plan_ffbp
+    from repro.sar.config import RadarConfig
 
-        plan = plan_ffbp(RadarConfig.small(n_pulses=64, n_ranges=65))
-        return run_ffbp_spmd(machine, plan, 16)
+    return plan_ffbp(RadarConfig.small(n_pulses=64, n_ranges=65))
+
+
+def _run_workload(machine: Any, workload: str) -> Any:
+    from repro.kernels.opcounts import AutofocusWorkload
+
+    if workload == "ffbp_spmd16":
+        from repro.kernels.ffbp_spmd import run_ffbp_spmd
+
+        return run_ffbp_spmd(machine, _small_plan(), 16)
     if workload == "autofocus_mpmd":
         from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
-        from repro.kernels.opcounts import AutofocusWorkload
 
         return run_autofocus_mpmd(machine, AutofocusWorkload())
+    if workload == "ffbp_seq":
+        from repro.kernels.ffbp_seq import run_ffbp_seq_epiphany
+
+        return run_ffbp_seq_epiphany(machine, _small_plan())
+    if workload == "autofocus_seq":
+        from repro.kernels.autofocus_seq import run_autofocus_seq_epiphany
+
+        return run_autofocus_seq_epiphany(machine, AutofocusWorkload())
+    if workload == "gbp_spmd16":
+        from repro.kernels.gbp_ref import run_gbp_spmd
+        from repro.sar.config import RadarConfig
+
+        return run_gbp_spmd(
+            machine, RadarConfig.small(n_pulses=64, n_ranges=65), 16
+        )
+    if workload == "linear_chain":
+        from repro.machine.core import OpBlock
+        from repro.runtime.dataflow import linear_chain
+
+        works = [OpBlock(flops=64.0 * (i + 1)) for i in range(4)]
+        return linear_chain(works, payload=256).run(machine, firings=8)
     raise ValueError(f"unknown replay oracle workload {workload!r}")
 
 
@@ -138,7 +177,7 @@ def replay_identity_oracle(
 
     The capture machine and the hit machine are *separate, fresh*
     ``replay(event:<spec>)`` machines: the hit must come entirely from
-    the cache (pre-state key + program fingerprint), never from state
+    the cache (pre-state key + declared program keys), never from state
     carried on the machine object.  Recorder intervals are asserted
     identical too (count and content), since the activity timeline is
     part of the replay contract.
@@ -184,7 +223,7 @@ def replay_identity_oracle(
             passed=capture_machine.stats()["uncacheable"] == 0,
             actual=capture_machine.stats(),
             expected="uncacheable == 0",
-            note="workload programs must fingerprint cleanly",
+            note="every workload program must declare a replay key",
         )
     )
 

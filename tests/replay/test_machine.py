@@ -39,6 +39,11 @@ def _long_program(ctx):
     yield Delay(100_000)
 
 
+# Declared so the stalled-run tests reach the cache (and its
+# invalid-schedule sentinel) instead of stopping at "uncacheable".
+_long_program.__replay_fp__ = ("long-program", 100_000)
+
+
 def _short_program(ctx):
     from repro.machine.event import Delay
 
@@ -155,8 +160,8 @@ class TestFallbacks:
 
     def test_faulty_wrapping_replay_misses_the_cache(self):
         # faulty(plan):replay(event:e16): the fault layer wraps the
-        # programs in closures that capture the plan, which the
-        # fingerprint walker must reach and refuse.
+        # programs in fresh closures that declare no replay key, so
+        # the replay machine must refuse to cache them.
         cold = _spmd_run(
             get_machine("faulty(link:(0,0)->(0,1)@p=1:stall=5; seed=1):event:e16"),
             pulses=32,
@@ -168,6 +173,18 @@ class TestFallbacks:
         assert isinstance(replay, ReplayMachine)
         assert replay.stats()["uncacheable"] == 1
         assert replay.stats()["captures"] == 0
+        assert_byte_identical(cold, res)
+
+    def test_undeclared_program_runs_cold(self):
+        cold = get_machine("event:e16").run({0: _short_program})
+        m = get_machine("replay(event:e16)")
+        res = m.run({0: _short_program})
+        assert m.stats() == {
+            "captures": 0,
+            "replays": 0,
+            "bypassed": 0,
+            "uncacheable": 1,
+        }
         assert_byte_identical(cold, res)
 
     def test_memo_disabled_runs_cold(self):
@@ -187,6 +204,7 @@ class TestFallbacks:
         r1 = m1.run({0: _long_program}, max_cycles=1000)
         assert r1.stalled
         assert m1.stats()["captures"] == 0
+        assert m1.stats()["uncacheable"] == 0
 
         # The stalled class is remembered as always-cold: a second
         # fresh machine runs cold again and still reports the stall.
@@ -194,6 +212,7 @@ class TestFallbacks:
         r2 = m2.run({0: _long_program}, max_cycles=1000)
         assert r2.stalled
         assert m2.stats()["replays"] == 0
+        assert m2.stats()["bypassed"] == 1  # served the invalid sentinel
         assert r2.cycles == cold.cycles == 1000
 
     def test_post_stall_runs_bypass_and_match_the_event_backend(self):

@@ -102,23 +102,8 @@ class TestCompiledSchedule:
             if isinstance(live, np.ndarray):
                 assert cached is not live
 
-    def test_timeline_shape(self):
-        from repro.machine.tracing import ActivityRecorder
-
-        chip = get_machine("event:e16")
-        chip.recorder = ActivityRecorder()
-        result = _run_some_work(chip)
-        sched = compile_schedule(
-            chip, result, tuple(range(16)), intervals_before=0
-        )
-        tl = sched.timeline()
-        assert tl.dtype.names == ("core", "kind", "start", "end")
-        assert len(tl) == sched.n_intervals() == len(chip.recorder.intervals)
-        assert (tl["end"] >= tl["start"]).all()
-
     def test_invalid_sentinel(self):
         assert not INVALID_SCHEDULE.valid
         assert INVALID_SCHEDULE.post is None
         assert INVALID_SCHEDULE.n_intervals() == 0
         assert isinstance(INVALID_SCHEDULE, CompiledSchedule)
-        assert len(INVALID_SCHEDULE.timeline()) == 0
