@@ -385,7 +385,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         breaker_failures=args.breaker_failures,
         breaker_cooldown=args.breaker_cooldown,
         group_jobs=args.group_jobs,
-        group_retries=args.group_retries,
         allow_chaos=args.allow_chaos,
     )
 
@@ -868,14 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="process-pool width for request groups; 1 executes inline "
         "in the worker thread (default: %(default)s)",
-    )
-    p.add_argument(
-        "--group-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="in-runner retries per group before the serve-level retry "
-        "loop sees the failure (default: %(default)s)",
     )
     p.add_argument(
         "--allow-chaos",

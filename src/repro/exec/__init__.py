@@ -8,8 +8,9 @@ serial-identical results:
   (:func:`derive_seed`), the determinism contract's root;
 - :mod:`repro.exec.cache` -- opt-in content-addressed result cache
   keyed by spec + workload + seed + code version;
-- :mod:`repro.exec.runner` -- :class:`ExperimentRunner` with per-task
-  timeout, bounded retry and structured :class:`TaskFailure` reporting.
+- :mod:`repro.exec.runner` -- :class:`ExperimentRunner`, which runs
+  each task once and reports failures as structured
+  :class:`TaskFailure` records (retrying is the caller's decision).
 
 Consumers: ``eval/sweeps.py`` and ``eval/table1.py`` (``jobs=``),
 ``verify/gate.py`` (oracle/golden/fuzz fan-out) and the CLI

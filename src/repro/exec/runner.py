@@ -20,28 +20,23 @@ and are counted for reporting.
 
 **Failure containment.**  A worker exception is captured *in the
 child* with its traceback and surfaced as a structured
-:class:`TaskFailure` (kind ``"error"``); a task overrunning
-``timeout`` seconds fails with kind ``"timeout"``; a worker dying
-outright (segfault, ``os._exit``) fails with kind ``"broken-pool"``
-instead of leaking :class:`~concurrent.futures.process.
-BrokenProcessPool` -- and the pool is rebuilt so remaining tasks still
-run.  Each failing task is retried up to ``retries`` times on a fresh
-attempt before its failure is recorded.
+:class:`TaskFailure` (kind ``"error"``); a worker dying outright
+(segfault, ``os._exit``) fails with kind ``"broken-pool"`` instead of
+leaking :class:`~concurrent.futures.process.BrokenProcessPool`.  Each
+task runs exactly once; every :meth:`ExperimentRunner.run` starts on a
+fresh pool, so a caller that wants to retry (the serving tier's
+seeded :class:`~repro.serve.resilience.RetryPolicy`) simply runs the
+failed task again.
 
 Task functions must be picklable (module-level) for ``jobs > 1``; on
 POSIX the default fork start method also carries dynamically
-registered backends into the workers.  Timeouts are only enforced when
-``jobs > 1`` (a hung task cannot be preempted in-process).
+registered backends into the workers.
 """
 
 from __future__ import annotations
 
 import traceback as _traceback
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    TimeoutError as FuturesTimeoutError,
-)
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -67,50 +62,28 @@ class TaskFailure(RuntimeError):
     key:
         The failing task's key.
     kind:
-        ``"error"`` (the task function raised), ``"timeout"`` (exceeded
-        the runner's per-task budget) or ``"broken-pool"`` (the worker
-        process died without reporting back).
+        ``"error"`` (the task function raised) or ``"broken-pool"``
+        (the worker process died without reporting back).
     message:
-        One-line summary (exception type + message, or the pool/timeout
+        One-line summary (exception type + message, or the pool
         diagnosis).
     child_traceback:
         The full traceback formatted *in the worker*, empty when the
-        child could not report (timeout/broken pool).
-    attempts:
-        Attempts consumed, including retries.
-    history:
-        One line per *consumed attempt* in order
-        (``"attempt <n>: <kind>: <message>"``), so a task that failed
-        differently on each retry -- timeout, then a broken pool, then
-        an exception -- keeps the full story, not just the last word.
-        The final entry always describes this failure.
+        child could not report (broken pool).
     """
 
     def __init__(
-        self,
-        key: str,
-        kind: str,
-        message: str,
-        child_traceback: str = "",
-        attempts: int = 1,
-        history: Sequence[str] = (),
+        self, key: str, kind: str, message: str, child_traceback: str = ""
     ) -> None:
         super().__init__(f"task {key!r} failed ({kind}): {message}")
         self.key = key
         self.kind = kind
         self.message = message
         self.child_traceback = child_traceback
-        self.attempts = attempts
-        self.history = tuple(history) or (
-            f"attempt {attempts}: {kind}: {message}",
-        )
 
     def format(self) -> str:
-        """Human-readable report: attempt history + child traceback."""
-        lines = [str(self), f"  attempts: {self.attempts}"]
-        if len(self.history) > 1:
-            lines.append("  attempt history:")
-            lines.extend("    " + entry for entry in self.history)
+        """Human-readable report: summary + child traceback."""
+        lines = [str(self)]
         if self.child_traceback:
             lines.append("  child traceback:")
             lines.extend(
@@ -147,7 +120,6 @@ class TaskResult:
     value: Any = None
     seed: int | None = None
     cached: bool = False
-    attempts: int = 0
     seconds: float = 0.0
     failure: TaskFailure | None = None
 
@@ -164,13 +136,12 @@ class ExecStats:
     tasks: int = 0
     completed: int = 0
     failed: int = 0
-    retried: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     pool_rebuilds: int = 0
-    """Worker pools that died mid-run and were replaced; surviving
-    tasks were replayed on the fresh pool (serving self-healing reads
-    this to report pool churn in ``health``)."""
+    """Worker pools that died mid-run (the next run starts on a fresh
+    pool; serving self-healing reads this to report pool churn in
+    ``health``)."""
     wall_seconds: float = 0.0
 
     def format(self) -> str:
@@ -181,14 +152,13 @@ class ExecStats:
         )
         return (
             f"jobs={self.jobs}, {self.tasks} tasks "
-            f"({self.completed} ok, {self.failed} failed, "
-            f"{self.retried} retried), {cache}, "
+            f"({self.completed} ok, {self.failed} failed), {cache}, "
             f"{self.wall_seconds:.2f}s wall"
         )
 
 
 def _invoke(fn: Callable[..., Any], args: tuple, kwargs: dict) -> tuple:
-    """Run one task attempt, capturing failures *with traceback*.
+    """Run one task, capturing failures *with traceback*.
 
     Runs in the worker (or inline for serial runs).  Returns
     ``("ok", value, seconds)`` or ``("err", (type, message, tb), seconds)``
@@ -212,28 +182,6 @@ class _Prepared:
     kwargs: dict
     seed: int | None
     cache_key: str | None
-    attempts: int = 0
-    last_failure: TaskFailure | None = None
-    history: list[str] = field(default_factory=list)
-
-    def fail(
-        self, kind: str, message: str, child_traceback: str = ""
-    ) -> TaskFailure:
-        """Record one failed attempt and build its structured failure.
-
-        Appends the attempt to :attr:`history` so retries accumulate a
-        per-attempt log; the returned :class:`TaskFailure` carries the
-        history collected so far.
-        """
-        self.history.append(f"attempt {self.attempts}: {kind}: {message}")
-        return TaskFailure(
-            self.task.key,
-            kind,
-            message,
-            child_traceback=child_traceback,
-            attempts=self.attempts,
-            history=tuple(self.history),
-        )
 
 
 class ExperimentRunner:
@@ -247,10 +195,6 @@ class ExperimentRunner:
     root_seed:
         Root of the per-task seed derivation; tasks with a
         ``seed_arg`` receive ``derive_seed(root_seed, task.key)``.
-    timeout:
-        Per-task wall-clock budget in seconds (parallel runs only).
-    retries:
-        Extra attempts per failing task.
     cache:
         A :class:`~repro.exec.cache.ResultCache`, ``None`` to disable,
         or the default sentinel which enables caching iff
@@ -264,20 +208,12 @@ class ExperimentRunner:
         self,
         jobs: int = 1,
         root_seed: int | None = None,
-        timeout: float | None = None,
-        retries: int = 0,
         cache: ResultCache | None | object = _ENV,
     ) -> None:
         if int(jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
         self.jobs = int(jobs)
         self.root_seed = root_seed
-        self.timeout = timeout
-        self.retries = retries
         self.cache = default_cache() if cache is ExperimentRunner._ENV else cache
         self.stats = ExecStats(jobs=self.jobs)
 
@@ -288,10 +224,10 @@ class ExperimentRunner:
     ) -> list[TaskResult]:
         """Execute ``tasks``; results come back in task order.
 
-        With ``strict=True`` (default) the first :class:`TaskFailure`
-        is raised once all tasks have been driven to completion or
-        final failure; ``strict=False`` returns failures embedded in
-        their :class:`TaskResult`.
+        Each task runs once.  With ``strict=True`` (default) the first
+        :class:`TaskFailure` is raised once every task has run;
+        ``strict=False`` returns failures embedded in their
+        :class:`TaskResult`.
         """
         t0 = perf_counter()
         stats = ExecStats(jobs=self.jobs, tasks=len(tasks))
@@ -320,7 +256,7 @@ class ExperimentRunner:
             pending.append(prepared)
 
         if self.jobs == 1:
-            self._run_serial(pending, results, stats)
+            self._run_serial(pending, results)
         else:
             self._run_parallel(pending, results, stats)
 
@@ -388,43 +324,41 @@ class ExperimentRunner:
             key=prepared.task.key,
             value=value,
             seed=prepared.seed,
-            attempts=prepared.attempts,
             seconds=seconds,
         )
 
-    def _record_final_failure(
-        self, prepared: _Prepared, results: dict[str, TaskResult]
+    @staticmethod
+    def _record_failure(
+        prepared: _Prepared,
+        results: dict[str, TaskResult],
+        kind: str,
+        message: str,
+        child_traceback: str = "",
     ) -> None:
-        results[prepared.task.key] = TaskResult(
-            key=prepared.task.key,
+        key = prepared.task.key
+        results[key] = TaskResult(
+            key=key,
             seed=prepared.seed,
-            attempts=prepared.attempts,
-            failure=prepared.last_failure,
+            failure=TaskFailure(key, kind, message, child_traceback),
         )
 
+    def _record_outcome(
+        self, prepared: _Prepared, outcome: tuple, results: dict[str, TaskResult]
+    ) -> None:
+        """File one :func:`_invoke` outcome as a success or an error."""
+        status, payload, seconds = outcome
+        if status == "ok":
+            self._record_success(prepared, payload, seconds, results)
+        else:
+            etype, msg, tb = payload
+            self._record_failure(prepared, results, "error", f"{etype}: {msg}", tb)
+
     def _run_serial(
-        self,
-        pending: list[_Prepared],
-        results: dict[str, TaskResult],
-        stats: ExecStats,
+        self, pending: list[_Prepared], results: dict[str, TaskResult]
     ) -> None:
         for prepared in pending:
-            while True:
-                prepared.attempts += 1
-                status, payload, seconds = _invoke(
-                    prepared.task.fn, prepared.task.args, prepared.kwargs
-                )
-                if status == "ok":
-                    self._record_success(prepared, payload, seconds, results)
-                    break
-                etype, msg, tb = payload
-                prepared.last_failure = prepared.fail(
-                    "error", f"{etype}: {msg}", child_traceback=tb
-                )
-                if prepared.attempts > self.retries:
-                    self._record_final_failure(prepared, results)
-                    break
-                stats.retried += 1
+            outcome = _invoke(prepared.task.fn, prepared.task.args, prepared.kwargs)
+            self._record_outcome(prepared, outcome, results)
 
     def _run_parallel(
         self,
@@ -432,69 +366,41 @@ class ExperimentRunner:
         results: dict[str, TaskResult],
         stats: ExecStats,
     ) -> None:
-        remaining = list(pending)
-        while remaining:
-            survivors: list[_Prepared] = []
-            pool = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(remaining))
-            )
-            futures = {
-                p.task.key: pool.submit(
-                    _invoke, p.task.fn, p.task.args, p.kwargs
+        if not pending:
+            return
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
+        futures = [
+            pool.submit(_invoke, p.task.fn, p.task.args, p.kwargs)
+            for p in pending
+        ]
+        broken = False
+        for prepared, fut in zip(pending, futures):
+            if broken and not fut.done():
+                self._record_failure(
+                    prepared,
+                    results,
+                    "broken-pool",
+                    "worker pool died before this task completed",
                 )
-                for p in remaining
-            }
-            broken = False
-            for prepared in remaining:
-                prepared.attempts += 1
-                failure: TaskFailure | None = None
-                fut = futures[prepared.task.key]
-                if broken and not fut.done():
-                    failure = prepared.fail(
-                        "broken-pool",
-                        "worker pool died before this task completed",
-                    )
-                else:
-                    try:
-                        status, payload, seconds = fut.result(
-                            timeout=self.timeout
-                        )
-                    except FuturesTimeoutError:
-                        fut.cancel()
-                        failure = prepared.fail(
-                            "timeout",
-                            f"exceeded the {self.timeout}s per-task budget",
-                        )
-                    except (BrokenProcessPool, CancelledError) as exc:
-                        broken = True
-                        failure = prepared.fail(
-                            "broken-pool",
-                            str(exc)
-                            or "worker process died without reporting back",
-                        )
-                    except Exception as exc:  # e.g. unpicklable result
-                        failure = prepared.fail(
-                            "error", f"{type(exc).__name__}: {exc}"
-                        )
-                    else:
-                        if status == "ok":
-                            self._record_success(
-                                prepared, payload, seconds, results
-                            )
-                            continue
-                        etype, msg, tb = payload
-                        failure = prepared.fail(
-                            "error", f"{etype}: {msg}", child_traceback=tb
-                        )
-                prepared.last_failure = failure
-                if prepared.attempts > self.retries:
-                    self._record_final_failure(prepared, results)
-                else:
-                    stats.retried += 1
-                    survivors.append(prepared)
-            # Never block on hung/dead workers: cancel what we can and
-            # let finished processes be reaped in the background.
-            pool.shutdown(wait=False, cancel_futures=True)
-            if broken:
-                stats.pool_rebuilds += 1
-            remaining = survivors
+                continue
+            try:
+                outcome = fut.result()
+            except (BrokenProcessPool, CancelledError) as exc:
+                broken = True
+                self._record_failure(
+                    prepared,
+                    results,
+                    "broken-pool",
+                    str(exc) or "worker process died without reporting back",
+                )
+            except Exception as exc:  # e.g. unpicklable result
+                self._record_failure(
+                    prepared, results, "error", f"{type(exc).__name__}: {exc}"
+                )
+            else:
+                self._record_outcome(prepared, outcome, results)
+        # Never join the workers: after a break some are still dying,
+        # and the next run builds a fresh pool anyway.
+        pool.shutdown(wait=False, cancel_futures=True)
+        if broken:
+            stats.pool_rebuilds += 1

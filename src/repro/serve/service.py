@@ -20,10 +20,12 @@ answer it produces comes from the layers below --
 - **resilience** (:mod:`repro.serve.resilience`, §15): admission
   control bounds in-flight work (structured ``overloaded`` + retry
   hint instead of queue growth), contained faults and broken pools are
-  retried with seeded deterministic backoff, and a per-backend-spec
-  circuit breaker degrades profile requests one rung down the
-  ladder (``event:*`` onto byte-identical ``replay(event:*)``, then
-  ``analytic:*``) when the real backend keeps failing.
+  retried with seeded deterministic backoff (the only retry loop in
+  the stack: the runner below runs each task once), and a
+  per-backend-spec circuit breaker degrades profile requests one rung
+  down the ladder (``event:*`` onto byte-identical
+  ``replay(event:*)``, then ``analytic:*``) when the real backend
+  keeps failing.
 
 Scheduling: requests land on one queue; a batcher drains it, waits
 ``batch_window_ms`` for compatible company, groups by cache payload
@@ -32,10 +34,10 @@ and dispatches each group to a worker-thread pool.  Per-request
 deadlines convert to structured ``deadline`` error responses -- a
 slow request can never hang its connection.  With ``group_jobs >= 2``
 each group fans out over a *process* pool whose death is contained
-(``broken-pool`` failures, pool rebuilt, survivors replayed) -- one
-poisoned request cannot take down its batch window.  ``close()``
-drains: queued and in-flight requests get their terminal response
-before the listener and pools go away.
+(``broken-pool`` failures, retried on a fresh pool by the serve-level
+retry) -- one poisoned request cannot take down its batch window.
+``close()`` drains: queued and in-flight requests get their terminal
+response before the listener and pools go away.
 """
 
 from __future__ import annotations
@@ -75,7 +77,12 @@ __all__ = ["ServeSettings", "ServeStats", "ImageService"]
 
 @dataclass(frozen=True)
 class ServeSettings:
-    """Tunables of one service instance."""
+    """Tunables of one service instance.
+
+    ``max_retries`` (with ``retry_backoff_ms`` and ``resilience_seed``)
+    is the one retry budget: the serve layer retries a whole request,
+    and the :class:`~repro.exec.runner.ExperimentRunner` under each
+    group runs every task once."""
 
     host: str = "127.0.0.1"
     port: int = 0
@@ -108,10 +115,8 @@ class ServeSettings:
     group_jobs: int = 1
     """``ExperimentRunner`` jobs per batch group; ``1`` runs inline
     (serial, no pool), ``>= 2`` fans out over worker processes whose
-    crashes are contained and healed."""
-    group_retries: int = 0
-    """Runner-level retries inside one group (pool self-healing
-    replays broken-pool survivors without a serve round trip)."""
+    crashes are contained as ``broken-pool`` failures (healed by the
+    ``max_retries`` retry on a fresh pool)."""
     resilience_seed: int = DEFAULT_RESILIENCE_SEED
     """Root seed of the deterministic retry jitter."""
     allow_chaos: bool = False
@@ -161,10 +166,6 @@ class ServeSettings:
         if self.group_jobs < 1:
             raise ValueError(
                 f"group_jobs must be >= 1, got {self.group_jobs}"
-            )
-        if self.group_retries < 0:
-            raise ValueError(
-                f"group_retries must be >= 0, got {self.group_retries}"
             )
         if self.allow_chaos and self.group_jobs < 2:
             raise ValueError(
@@ -556,8 +557,11 @@ class ImageService:
                 return
             except Exception as exc:  # structured, never a connection drop
                 self._mark_error()
-                await send(error_response(request.id, "internal", str(exc)))
+                response = error_response(request.id, "internal", str(exc))
+                response["retries"] = retries
+                await send(response)
                 return
+            err = None
             if outcome[0] == "ok":
                 _, value, cached = outcome
                 err = value.get("error") if isinstance(value, dict) else None
@@ -582,25 +586,14 @@ class ImageService:
                 # the profile path: retryable -- the work is pure and
                 # the diagnosis structured.
                 retryable = err.get("code") in CONTAINED_CODES
-                delay = self._retry_delay_s(
-                    retryable, retries, retry_key, deadline, t0
-                )
-                if delay is not None:
-                    retries += 1
-                    self.stats.retries += 1
-                    self._window.record("retry")
-                    await asyncio.sleep(delay)
-                    continue
-                self._breaker_record(spec, verdict, ok=False)
-                await self._send_contained(
-                    request, err, retries, degraded, effective, send
-                )
-                return
-            # Runner-level failure: broken pool (retryable -- the pool
-            # heals and the work is uncached), timeout, or task error.
-            _, fkind, ftext = outcome
+            else:
+                # Runner-level failure: a broken pool is retryable (the
+                # next run gets a fresh pool and the work is uncached);
+                # a task error is terminal.
+                _, fkind, ftext = outcome
+                retryable = fkind == "broken-pool"
             delay = self._retry_delay_s(
-                fkind == "broken-pool", retries, retry_key, deadline, t0
+                retryable, retries, retry_key, deadline, t0
             )
             if delay is not None:
                 retries += 1
@@ -609,8 +602,13 @@ class ImageService:
                 await asyncio.sleep(delay)
                 continue
             self._breaker_record(spec, verdict, ok=False)
+            if err is not None:
+                await self._send_contained(
+                    request, err, retries, degraded, effective, send
+                )
+                return
             self._mark_error()
-            code = fkind if fkind in ("broken-pool", "timeout") else "internal"
+            code = "broken-pool" if fkind == "broken-pool" else "internal"
             response = error_response(request.id, code, ftext)
             response["retries"] = retries
             await send(response)
@@ -762,7 +760,6 @@ class ImageService:
                 [digest for digest, _ in order],
                 self._cache,
                 self.settings.group_jobs,
-                self.settings.group_retries,
             )
         except Exception as exc:
             for _, waiters in order:
@@ -833,7 +830,6 @@ def _execute_group(
     digests: list[str],
     cache: ResultCache | None,
     jobs: int = 1,
-    retries: int = 0,
 ) -> tuple[list[tuple[Any, bool, str | None, str | None]], int]:
     """Run one compatible group through an :class:`ExperimentRunner`.
 
@@ -844,8 +840,9 @@ def _execute_group(
     dispatch side retries ``broken-pool``), never an exception, so one
     bad request cannot poison its batch-mates.  With ``jobs >= 2`` the
     group fans out over a process pool; a worker death is contained by
-    the runner (pool rebuilt, survivors replayed up to ``retries``
-    times) and reported through ``pool_rebuilds``.
+    the runner as ``broken-pool`` failures and reported through
+    ``pool_rebuilds``.  Each task runs once: retrying is the caller's
+    decision.
     """
     tasks = []
     for payload, digest in zip(payloads, digests):
@@ -857,7 +854,7 @@ def _execute_group(
         tasks.append(
             TaskSpec(key=f"serve/{payload.get('kind')}/{digest}", fn=fn, args=(payload,))
         )
-    runner = ExperimentRunner(jobs=jobs, retries=retries, cache=cache)
+    runner = ExperimentRunner(jobs=jobs, cache=cache)
     results = runner.run(tasks, strict=False)
     out: list[tuple[Any, bool, str | None, str | None]] = []
     for res in results:

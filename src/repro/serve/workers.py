@@ -137,7 +137,7 @@ def _maybe_chaos_kill(payload: dict) -> None:
     (atomic even across concurrent worker processes) and then SIGKILLs
     itself -- the hardest worker death there is, indistinguishable from
     a segfault to the pool.  Once every slot is claimed the payload
-    computes normally, so a retried/replayed request heals
+    computes normally, so a request retried by the serve layer heals
     deterministically.  The service only routes marker-carrying
     requests here when booted with ``allow_chaos`` *and* a real
     process pool (``group_jobs >= 2``); otherwise the kill would take

@@ -398,9 +398,6 @@ degraded path to offer."""
 TERMINAL_TYPES = ("result", "error", "health", "ok")
 """Frame types that terminate one request on the wire."""
 
-STRUCTURED_SERVE_CODES = ("fault", "stall", "deadlock", "deadline", "overloaded", "broken-pool")
-"""Every error code the serve containment contract permits."""
-
 
 def _serve_record(frame: dict, minimal: bool = False) -> dict:
     """The decision-relevant projection of one terminal frame.
@@ -502,7 +499,6 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
         breaker_failures=2,
         breaker_cooldown=2,
         group_jobs=2,
-        group_retries=1,
         allow_chaos=True,
         resilience_seed=seed,
     )
@@ -559,24 +555,14 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
                 _serve_record(await main.request({**stall_profile, "id": rid}))
             )
 
-        # D. pool self-healing: a worker SIGKILL healed inside the
-        # runner (h0), then one that exhausts the runner budget and
-        # heals on the serve-level retry (h1).
-        records.append(
-            _serve_record(
-                await main.request(
-                    {**ffbp_profile, "id": "h0", "backend": "analytic:e16",
-                     "fail_marker": os.path.join(tmpdir, "m0"),
-                     "fail_times": 1}
-                )
-            )
-        )
+        # D. pool self-healing: a worker SIGKILL fails the group with
+        # broken-pool and the serve-level retry heals it (h1).
         records.append(
             _serve_record(
                 await main.request(
                     {**ffbp_profile, "id": "h1", "backend": "analytic:e16",
                      "fail_marker": os.path.join(tmpdir, "m1"),
-                     "fail_times": 2}
+                     "fail_times": 1}
                 )
             )
         )
@@ -684,6 +670,8 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
     import asyncio
     import tempfile
 
+    from repro.serve.load import STRUCTURED_ERROR_CODES
+
     prefix = f"chaos-serve/{case}"
     t0 = time.perf_counter()
     outs = []
@@ -707,7 +695,7 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
         r for r in first["records"]
         if not (
             r["type"] == "result"
-            or (r["type"] == "error" and r["code"] in STRUCTURED_SERVE_CODES)
+            or (r["type"] == "error" and r["code"] in STRUCTURED_ERROR_CODES)
         )
     ]
     checks.append(
@@ -777,8 +765,7 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
         )
     )
     heal_ok = (
-        by_id.get("h0", {}).get("type") == "result"
-        and by_id.get("h1", {}).get("type") == "result"
+        by_id.get("h1", {}).get("type") == "result"
         and by_id.get("h1", {}).get("retries") == 1
         and by_id.get("r2", {}).get("type") == "result"
         and by_id.get("r2", {}).get("degraded") is False
@@ -788,7 +775,7 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
             name=f"{prefix}.pool-heals",
             passed=heal_ok,
             note=(
-                "SIGKILLed workers heal (in-runner and via serve retry) and "
+                "a SIGKILLed worker heals via the serve-level retry and "
                 "the probe recovers the real backend"
             ),
         )

@@ -5,7 +5,6 @@ pool (``tests`` is a package; fork workers re-import by name).
 """
 
 import os
-import time
 
 import pytest
 
@@ -32,10 +31,6 @@ def _boom(x):
     raise ValueError(f"injected failure {x}")
 
 
-def _sleep_forever():
-    time.sleep(60)
-
-
 def _exit_hard():
     os._exit(13)  # simulate a segfaulting worker
 
@@ -56,15 +51,6 @@ def _sigkill_until_marked(marker, payload):
         return payload * payload
     os.close(fd)
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _flaky(counter_path, needed):
-    """Fail until the attempt counter file reaches ``needed``."""
-    n = int(counter_path.read_text()) if counter_path.exists() else 0
-    counter_path.write_text(str(n + 1))
-    if n + 1 < needed:
-        raise RuntimeError(f"flaky attempt {n + 1}")
-    return "recovered"
 
 
 def _tasks(n):
@@ -148,15 +134,6 @@ class TestFailures:
         with pytest.raises(TaskFailure, match="injected failure"):
             runner.run([TaskSpec(key="bad", fn=_boom, args=(1,))])
 
-    def test_timeout_is_structured(self):
-        runner = ExperimentRunner(jobs=2, timeout=0.3, cache=None)
-        (res,) = runner.run(
-            [TaskSpec(key="hang", fn=_sleep_forever)], strict=False
-        )
-        assert not res.ok
-        assert res.failure.kind == "timeout"
-        assert "0.3" in res.failure.message
-
     def test_dead_worker_reports_broken_pool_not_raw_exception(self):
         runner = ExperimentRunner(jobs=2, cache=None)
         results = runner.run(
@@ -168,7 +145,7 @@ class TestFailures:
         )
         assert results[0].failure is not None
         assert results[0].failure.kind == "broken-pool"
-        # With no retry budget the sibling either finished before the
+        # The runner never retries: the sibling either finished before the
         # pool broke or was collateral damage -- but collateral damage
         # must be the *structured* broken-pool kind, never a raw
         # BrokenProcessPool escaping the runner.
@@ -177,47 +154,10 @@ class TestFailures:
         else:
             assert results[1].failure.kind == "broken-pool"
 
-    def test_dead_worker_sibling_recovers_with_retry_budget(self):
-        runner = ExperimentRunner(jobs=2, retries=1, cache=None)
-        results = runner.run(
-            [
-                TaskSpec(key="die", fn=_exit_hard),
-                TaskSpec(key="ok", fn=_square, args=(4,)),
-            ],
-            strict=False,
-        )
-        # The culprit dies every attempt; the innocent sibling must
-        # come back on the rebuilt pool even if the break caught it.
-        assert results[0].failure is not None
-        assert results[0].failure.kind == "broken-pool"
-        assert results[1].ok and results[1].value == 16
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bounded_retry_recovers(self, tmp_path, jobs):
-        counter = tmp_path / "attempts"
-        runner = ExperimentRunner(jobs=jobs, retries=2, cache=None)
-        (res,) = runner.run(
-            [TaskSpec(key="flaky", fn=_flaky, args=(counter, 3))]
-        )
-        assert res.value == "recovered"
-        assert res.attempts == 3
-        assert runner.stats.retried == 2
-
-    def test_retries_exhausted_reports_last_failure(self, tmp_path):
-        counter = tmp_path / "attempts"
-        runner = ExperimentRunner(jobs=1, retries=1, cache=None)
-        (res,) = runner.run(
-            [TaskSpec(key="flaky", fn=_flaky, args=(counter, 5))],
-            strict=False,
-        )
-        assert not res.ok
-        assert res.failure.attempts == 2
-        assert "flaky attempt 2" in res.failure.message
-
-    def test_sigkill_is_structured_broken_pool_with_history(self):
+    def test_sigkill_is_structured_broken_pool(self):
         """A SIGKILLed worker -- the closest stand-in for a segfault --
-        must surface as a structured broken-pool TaskFailure with its
-        attempt history, never as a raw BrokenProcessPool escape."""
+        must surface as a structured broken-pool TaskFailure, never as
+        a raw BrokenProcessPool escape."""
         runner = ExperimentRunner(jobs=2, cache=None)
         (res,) = runner.run(
             [TaskSpec(key="die", fn=_sigkill_self)], strict=False
@@ -226,27 +166,23 @@ class TestFailures:
         failure = res.failure
         assert isinstance(failure, TaskFailure)
         assert failure.kind == "broken-pool"
-        assert failure.history  # every attempt accounted for
-        assert all("broken-pool" in entry for entry in failure.history)
         assert "die" in failure.format()
         assert runner.stats.pool_rebuilds >= 1
 
     def test_sigkill_retry_heals_pool_and_recovers(self, tmp_path):
-        """A retry after a worker SIGKILL must run on a *fresh* pool
-        and recover -- the self-healing contract the serving tier's
-        replay path builds on."""
+        """The runner runs a task once; the caller's retry after a
+        worker SIGKILL must run on a *fresh* pool and recover -- the
+        self-healing contract the serving tier's retry builds on."""
         marker = tmp_path / "kill-once"
-        runner = ExperimentRunner(jobs=2, retries=1, cache=None)
-        (res,) = runner.run(
-            [
-                TaskSpec(
-                    key="heal", fn=_sigkill_until_marked, args=(marker, 6)
-                )
-            ]
-        )
-        assert res.ok and res.value == 36
-        assert res.attempts == 2
+        task = TaskSpec(key="heal", fn=_sigkill_until_marked, args=(marker, 6))
+        runner = ExperimentRunner(jobs=2, cache=None)
+        (dead,) = runner.run([task], strict=False)
+        assert dead.failure is not None
+        assert dead.failure.kind == "broken-pool"
         assert runner.stats.pool_rebuilds == 1
+        (res,) = runner.run([task])
+        assert res.ok and res.value == 36
+        assert runner.stats.pool_rebuilds == 0
 
     def test_healed_runner_reruns_byte_identically(self, tmp_path):
         """After a broken-pool failure, subsequent submissions on the
@@ -309,61 +245,3 @@ class TestCaching:
         runner.run(_tasks(2))
         text = runner.stats.format()
         assert "cache" in text and "2 tasks" in text
-
-
-# -- attempt history --------------------------------------------------------
-
-def _flaky_messages(counter_path, needed):
-    """Fail with a *distinct* message per attempt until ``needed``."""
-    n = int(counter_path.read_text()) if counter_path.exists() else 0
-    counter_path.write_text(str(n + 1))
-    if n + 1 < needed:
-        raise RuntimeError(f"distinct failure #{n + 1}")
-    return "recovered"
-
-
-class TestAttemptHistory:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_exhausted_retries_keep_every_attempt(self, tmp_path, jobs):
-        counter = tmp_path / "attempts"
-        runner = ExperimentRunner(jobs=jobs, retries=2, cache=None)
-        (res,) = runner.run(
-            [TaskSpec(key="flaky", fn=_flaky_messages, args=(counter, 9))],
-            strict=False,
-        )
-        failure = res.failure
-        assert failure.attempts == 3
-        assert len(failure.history) == 3
-        # Ordered, numbered, and each attempt keeps its own message --
-        # not three copies of the last word.
-        for i, entry in enumerate(failure.history, start=1):
-            assert entry.startswith(f"attempt {i}: error:")
-            assert f"distinct failure #{i}" in entry
-        assert failure.history[-1].endswith(failure.message)
-
-    def test_history_rendered_by_format(self, tmp_path):
-        counter = tmp_path / "attempts"
-        runner = ExperimentRunner(jobs=1, retries=1, cache=None)
-        (res,) = runner.run(
-            [TaskSpec(key="flaky", fn=_flaky_messages, args=(counter, 9))],
-            strict=False,
-        )
-        text = res.failure.format()
-        assert "attempt history:" in text
-        assert "attempt 1: error:" in text
-        assert "attempt 2: error:" in text
-
-    def test_single_attempt_failure_has_self_describing_history(self):
-        runner = ExperimentRunner(jobs=1, cache=None)
-        (res,) = runner.run(
-            [TaskSpec(key="bad", fn=_boom, args=(1,))], strict=False
-        )
-        assert res.failure.history == (
-            f"attempt 1: error: {res.failure.message}",
-        )
-        # No redundant history block for a one-attempt failure.
-        assert "attempt history:" not in res.failure.format()
-
-    def test_direct_construction_synthesises_history(self):
-        failure = TaskFailure("k", "timeout", "too slow", attempts=2)
-        assert failure.history == ("attempt 2: timeout: too slow",)

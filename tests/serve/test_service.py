@@ -508,13 +508,12 @@ class TestResilience:
             scenario,
             allow_chaos=True,
             group_jobs=2,
-            group_retries=0,
             max_retries=1,
             retry_backoff_ms=2.0,
         )
         assert frame["type"] == "result"
         assert frame["cycles"] > 0
-        assert frame["retries"] == 1  # healed by the serve-level replay
+        assert frame["retries"] == 1  # healed by the serve-level retry
         assert health["resilience"]["retries"] == 1
         assert health["resilience"]["pool_rebuilds"] >= 1
 
@@ -529,7 +528,7 @@ class TestResilience:
                     "pulses": 16,
                     "ranges": 17,
                     "fail_marker": str(tmp_path / "m"),
-                    "fail_times": 8,  # outlasts every retry layer
+                    "fail_times": 8,  # outlasts the retry budget
                 },
             )
             return frame
@@ -538,13 +537,76 @@ class TestResilience:
             scenario,
             allow_chaos=True,
             group_jobs=2,
-            group_retries=0,
             max_retries=1,
             retry_backoff_ms=2.0,
         )
         assert frame["type"] == "error"
         assert frame["code"] == "broken-pool"
         assert frame["retries"] == 1
+
+    def test_killed_request_heals_and_its_batch_sibling_completes(
+        self, tmp_path
+    ):
+        """Two distinct profile requests share one batch group on a
+        process pool; one SIGKILLs its worker.  Both must still get a
+        result: the killed one through the serve-level retry, the
+        sibling either before the pool broke or through that same
+        retry."""
+
+        async def scenario(service):
+            killed = {
+                "kind": "profile",
+                "id": "k",
+                "backend": "analytic:e16",
+                "pulses": 16,
+                "ranges": 17,
+                "fail_marker": str(tmp_path / "m"),
+                "fail_times": 1,
+            }
+            sibling = {
+                "kind": "profile",
+                "id": "s",
+                "backend": "analytic:e16",
+                "pulses": 32,
+                "ranges": 33,
+            }
+            frames = await asyncio.gather(
+                one_shot(service, killed), one_shot(service, sibling)
+            )
+            return [frame for frame, _ in frames]
+
+        killed, sibling = service_test(
+            scenario,
+            allow_chaos=True,
+            group_jobs=2,
+            max_retries=1,
+            retry_backoff_ms=2.0,
+            batch_window_ms=200.0,
+        )
+        assert killed["type"] == "result"
+        assert killed["retries"] == 1
+        assert sibling["type"] == "result"
+        assert sibling["retries"] in (0, 1)
+
+    def test_group_exception_is_internal_with_retries(self, monkeypatch):
+        """An exception escaping the group executor still yields a
+        batched terminal frame carrying ``retries``."""
+        from repro.serve import service as service_mod
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("group executor exploded")
+
+        monkeypatch.setattr(service_mod, "_execute_group", explode)
+
+        async def scenario(service):
+            frame, _ = await one_shot(service, {**IMG, "id": "x"})
+            return frame
+
+        frame = service_test(scenario)
+        assert frame["type"] == "error"
+        assert frame["code"] == "internal"
+        assert frame["retries"] == 0
+        assert "exploded" in frame["detail"]
 
     def test_breaker_degrades_event_requests_after_trip(self):
         async def scenario(service):

@@ -10,9 +10,9 @@ reaches the same checks the CLI flag does.
 
 import pytest
 
+from repro.serve.load import STRUCTURED_ERROR_CODES
 from repro.verify.chaos import (
     CHAOS_SERVE_STALL_PLAN,
-    STRUCTURED_SERVE_CODES,
     chaos_serve_cell,
     run_chaos_serve_case,
 )
@@ -62,9 +62,9 @@ class TestChaosServeCase:
         # The serve contract is strictly wider than batch containment:
         # backpressure, deadlines and pool loss are structured too.
         assert {"overloaded", "deadline", "broken-pool"} <= set(
-            STRUCTURED_SERVE_CODES
+            STRUCTURED_ERROR_CODES
         )
-        assert {"fault", "stall", "deadlock"} <= set(STRUCTURED_SERVE_CODES)
+        assert {"fault", "stall", "deadlock"} <= set(STRUCTURED_ERROR_CODES)
 
     def test_stall_plan_is_the_pinned_degradation_pivot(self):
         from repro.faults.plan import parse_plan
