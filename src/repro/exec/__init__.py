@@ -6,8 +6,8 @@ serial-identical results:
 
 - :mod:`repro.exec.seeding` -- SHA-256 per-task seed derivation
   (:func:`derive_seed`), the determinism contract's root;
-- :mod:`repro.exec.cache` -- opt-in content-addressed result cache
-  keyed by spec + workload + seed + code version;
+- :mod:`repro.exec.cache` -- the two-tier content-addressed cache
+  store, keyed by spec + workload + seed + code version;
 - :mod:`repro.exec.runner` -- :class:`ExperimentRunner`, which runs
   each task once and reports failures as structured
   :class:`TaskFailure` records (retrying is the caller's decision).

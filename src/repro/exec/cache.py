@@ -1,11 +1,11 @@
-"""Content-addressed on-disk result cache for experiment tasks.
+"""The content-addressed cache store: a memory tier, then a disk tier.
 
 Sweeps and verification runs re-execute the same deterministic
 simulations over and over (CI re-runs, report regeneration, design
-iterations that only touch one axis of a sweep).  Since every task in
-the execution layer is a pure function of its arguments, its seed and
-the simulator source, the result can be cached under a key that names
-exactly those inputs:
+iterations that only touch one axis of a sweep), and the hot paths
+rebuild the same deterministic geometry for every run.  Since every
+cached value is a pure function of its inputs and the simulator
+source, it can be stored under a key that names exactly those inputs:
 
     sha256(task_key \\x1f payload_digest \\x1f seed \\x1f code_version)
 
@@ -15,16 +15,10 @@ exactly those inputs:
   so *any* code change invalidates the whole cache -- conservative,
   but it can never serve a stale result after a model retune.
 
-The store lives under ``$REPRO_CACHE_DIR`` if set, else
-``~/.cache/repro`` (:func:`cache_dir`); it is **opt-in**: the runner
-only caches when handed a :class:`ResultCache` (the CLI consumers
-enable it exactly when ``REPRO_CACHE_DIR`` is set, see
-:func:`default_cache`).  Entries are pickles written atomically
-(temp file + rename) so concurrent writers on the same key are safe.
-A confirmed-corrupt entry (fully read, fails to unpickle) is a miss
-and is discarded; a read that merely *fails* (transient I/O error) is
-a miss that leaves the entry alone, so a flaky read can never delete a
-good entry out from under a concurrent reader.
+:class:`ResultCache` is the one store.  ``repro.perf`` runs a 256 MiB
+memory tier per process; the runner and the serving tier use
+disk-only stores.  Outside serving the disk tier is **opt-in**: it is
+enabled exactly when ``REPRO_CACHE_DIR`` is set (:func:`default_cache`).
 """
 
 from __future__ import annotations
@@ -34,14 +28,17 @@ import hashlib
 import os
 import pickle
 import tempfile
+import threading
+from collections import OrderedDict
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 __all__ = [
     "ResultCache",
-    "cache_dir",
     "default_cache",
     "code_version",
+    "freeze",
     "stable_digest",
 ]
 
@@ -115,38 +112,82 @@ def stable_digest(obj: Any) -> str:
     return h.hexdigest()
 
 
-def cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro"
-
-
 def default_cache() -> "ResultCache | None":
-    """The opt-in default: a cache iff ``REPRO_CACHE_DIR`` is set.
+    """The opt-in default: a disk-only store iff ``REPRO_CACHE_DIR`` is set.
 
     Keeping the implicit default *off* preserves exact pre-existing
     behaviour (and CI determinism); exporting ``REPRO_CACHE_DIR``
     turns on cross-run memoisation everywhere at once.
     """
-    if os.environ.get("REPRO_CACHE_DIR"):
-        return ResultCache(cache_dir())
-    return None
+    root = os.environ.get("REPRO_CACHE_DIR")
+    return ResultCache(root) if root else None
+
+
+def _leaves(obj: Any) -> Iterator[Any]:
+    """Leaves of a value, through mappings, lists, tuples and dataclasses."""
+    if isinstance(obj, Mapping):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = (getattr(obj, f.name) for f in dataclasses.fields(obj))
+    else:
+        yield obj
+        return
+    for child in children:
+        yield from _leaves(child)
+
+
+def _nbytes(obj: Any) -> int:
+    """Resident bytes of a value: array bytes, 64 per other leaf."""
+    import numpy as np
+
+    return sum(
+        int(leaf.nbytes) if isinstance(leaf, np.ndarray) else 64
+        for leaf in _leaves(obj)
+    )
+
+
+def freeze(obj: Any) -> Any:
+    """Recursively mark every ndarray in ``obj`` read-only (in place).
+
+    Memory-tier values are shared across callers; freezing turns a
+    would-be silent cross-run corruption into an immediate
+    ``ValueError`` at the mutation site.  Returns ``obj`` for chaining.
+    """
+    import numpy as np
+
+    for leaf in _leaves(obj):
+        if isinstance(leaf, np.ndarray):
+            leaf.flags.writeable = False
+    return obj
 
 
 class ResultCache:
-    """Pickle store keyed by spec + workload + seed + code version.
+    """Content-addressed store: memory LRU first, then pickle directory.
 
-    Counters (``hits``/``misses``/``stores``) accumulate over the
-    cache's lifetime; :meth:`stats` snapshots them for reports.
+    ``budget_bytes`` bounds the memory tier's resident array bytes
+    (``0``: no memory tier); resident values are frozen because every
+    hit shares them.  ``root`` holds the disk tier (``None``: none).
+    :meth:`get` tries memory, then disk, and promotes a disk hit into
+    memory; :meth:`put` writes both, best-effort.  One lock covers the
+    memory tier and every counter; disk I/O runs outside it, since
+    files are written by atomic rename.
     """
 
-    def __init__(self, root: str | os.PathLike | None = None) -> None:
-        self.root = Path(root) if root is not None else cache_dir()
+    def __init__(
+        self, root: str | os.PathLike | None = None, budget_bytes: int = 0
+    ) -> None:
+        self.root = Path(root) if root is not None else None
+        self.budget_bytes = max(0, int(budget_bytes))
+        self._memory: "OrderedDict[str, tuple[Any, int]]" = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+        self.disk_hits = 0
         self.stores = 0
+        self.evictions = 0
 
     # -- keying ----------------------------------------------------------
 
@@ -173,13 +214,84 @@ class ResultCache:
 
     # -- store -----------------------------------------------------------
 
+    def get(self, key: str, disk: bool = True) -> tuple[bool, Any]:
+        """``(hit, value)`` from memory, else (with ``disk``) from disk.
+
+        A disk hit also counts as a ``disk_hit`` and is promoted.
+        """
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is not None:
+                self._memory.move_to_end(key)
+                self.hits += 1
+                return True, entry[0]
+        found, value = False, None
+        if disk and self.root is not None:
+            found, value = self._disk_get(key)
+            if found:
+                self._admit(key, value)
+        with self._lock:
+            if found:
+                self.hits += 1
+                self.disk_hits += 1
+            else:
+                self.misses += 1
+        return found, value
+
+    def put(self, key: str, value: Any, disk: bool = True) -> None:
+        """Store ``value`` in memory (if it fits) and, with ``disk``, on disk."""
+        stored = self._admit(key, value)
+        if disk and self.root is not None:
+            stored = self._disk_put(key, value) or stored
+        if stored:
+            with self._lock:
+                self.stores += 1
+
+    def clear(self) -> None:
+        """Drop the memory tier (disk entries and counters survive)."""
+        with self._lock:
+            self._memory.clear()
+            self._bytes = 0
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "entries": len(self._memory),
+                "bytes": self._bytes,
+                "hits": self.hits,
+                "misses": self.misses,
+                "disk_hits": self.disk_hits,
+                "stores": self.stores,
+                "evictions": self.evictions,
+            }
+
+    def _admit(self, key: str, value: Any) -> bool:
+        """Freeze ``value`` into the LRU unless it exceeds the whole
+        budget; evict least-recently-used entries past the budget."""
+        if self.budget_bytes <= 0:
+            return False
+        size = _nbytes(value)
+        if size > self.budget_bytes:
+            return False
+        freeze(value)
+        with self._lock:
+            if key in self._memory:
+                return False
+            self._memory[key] = (value, size)
+            self._bytes += size
+            while self._bytes > self.budget_bytes:
+                _k, (_v, sz) = self._memory.popitem(last=False)
+                self._bytes -= sz
+                self.evictions += 1
+        return True
+
     def _read_blob(self, path: Path) -> bytes:
         """Read one entry's full bytes (separate for fault-injection tests)."""
         with open(path, "rb") as fh:
             return fh.read()
 
-    def get(self, key: str) -> tuple[bool, Any]:
-        """``(hit, value)``; corrupt entries are misses and are dropped.
+    def _disk_get(self, key: str) -> tuple[bool, Any]:
+        """``(found, value)`` from disk; corrupt entries are dropped.
 
         Only a *confirmed-corrupt* entry is unlinked: the blob was read
         in full and still failed to unpickle.  A read that fails partway
@@ -191,43 +303,36 @@ class ResultCache:
         path = self._path(key)
         try:
             blob = self._read_blob(path)
-        except FileNotFoundError:
-            self.misses += 1
-            return False, None
-        except OSError:  # transient read failure: miss, keep the entry
-            self.misses += 1
+        except OSError:  # absent, or a transient read failure: keep it
             return False, None
         try:
-            value = pickle.loads(blob)
+            return True, pickle.loads(blob)
         except Exception:  # the full blob is corrupt: drop it
-            self.misses += 1
             try:
                 path.unlink()
             except OSError:
                 pass
             return False, None
-        self.hits += 1
-        return True, value
 
-    def put(self, key: str, value: Any) -> None:
-        """Atomic write (temp + rename); unpicklable values are skipped."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def _disk_put(self, key: str, value: Any) -> bool:
+        """Atomic write (temp + rename); ``False`` when nothing landed."""
         try:
             blob = pickle.dumps(value, protocol=4)
         except Exception:
-            return  # caching is best-effort; the caller has the value
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            return False  # caching is best-effort; the caller has the value
+        path = self._path(key)
+        tmp = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(blob)
             os.replace(tmp, path)
-            self.stores += 1
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def stats(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "stores": self.stores}
+            return True
+        except OSError:  # an unwritable root included
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            return False

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.apertures import SubapertureTree
-from repro.perf import memoize
+from repro.perf import memo_key, memoize
 from repro.sar.config import RadarConfig
 from repro.sar.ffbp import stage_maps
 
@@ -167,16 +167,13 @@ def plan_ffbp(
     sequential, Epiphany SPMD and CPU reference kernels, which is what
     makes their comparison a controlled experiment.
 
-    Plans depend only on ``(cfg, window_bytes)``, so they are memoised
-    process-wide (and -- when ``REPRO_CACHE_DIR`` is set -- persisted
-    through the execution layer's :class:`~repro.exec.cache.ResultCache`,
-    keyed with :func:`~repro.exec.cache.code_version` so any source
-    edit invalidates them).  A memo hit returns a byte-identical,
-    read-only plan.
+    Plans depend only on ``(cfg, window_bytes)``, so they are a
+    persisted kind of the process memo (:mod:`repro.perf`), whose key
+    embeds the code version so any source edit invalidates them.  A
+    memo hit returns a byte-identical, read-only plan.
     """
     return memoize(
-        "ffbp/plan",
-        (cfg, int(window_bytes)),
+        memo_key("ffbp/plan", (cfg, int(window_bytes))),
         lambda: _build_plan_ffbp(cfg, window_bytes),
         persist=True,
     )

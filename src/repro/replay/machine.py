@@ -10,12 +10,11 @@ the same class restores the captured post-state in one pass instead of
 re-simulating -- byte-identical cycles, traces, energy and results,
 enforced by the ``replay`` section of the verify gate.
 
-Caching flows through :func:`repro.perf.memo.memoize` under the
-``"replay"`` kind: a process-level LRU first, then (``persist=True``)
-the opt-in on-disk :class:`~repro.exec.cache.ResultCache`, whose entry
-key embeds :func:`~repro.exec.cache.code_version` -- any source edit
-invalidates every captured schedule at once.  The memo payload key is
-the schema version, the spec dataclass, the pre-run
+Caching flows through :func:`repro.perf.memoize` as the persisted
+``"replay"`` kind (memory tier, then the opt-in disk tier); the key
+embeds :func:`~repro.exec.cache.code_version`, so any source edit
+invalidates every captured schedule at once.  The memo payload is the
+schema version, the spec dataclass, the pre-run
 :class:`~repro.replay.schedule.ChipState`, the programs' declared keys
 (see :func:`declared_key`), ``max_cycles`` and recorder presence.
 
@@ -168,7 +167,7 @@ class ReplayMachine:
     def run(
         self, programs: Programs, max_cycles: int | None = None
     ) -> RunResult:
-        from repro.perf.memo import memo_enabled, memoize
+        from repro.perf import memo_enabled, memo_key, memoize
 
         inner = self.inner
         if not self._cacheable or not memo_enabled():
@@ -210,7 +209,7 @@ class ReplayMachine:
                 inner, result, tuple(sorted(programs)), intervals_before
             )
 
-        sched = memoize("replay", payload, build, persist=True)
+        sched = memoize(memo_key("replay", payload), build, persist=True)
         if live:
             # This call was the capture (or the stalled cold run that
             # poisoned the class): hand back the live result untouched.

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.geometry.apertures import SubapertureTree
 from repro.geometry.cosine import combine_geometry, exact_child_geometry
-from repro.perf import memoize
+from repro.perf import memo_key, memoize
 from repro.sar.config import RadarConfig
 from repro.sar.grids import PolarGrid, PolarImage
 
@@ -192,10 +192,10 @@ def stage_maps(
     read-only; a memo hit is byte-identical to a cold build.
     """
     payload = (cfg, _tree_sig(tree), parent_level, bool(keep_geometry))
+    key = memo_key("ffbp/stage-maps", payload)
     return memoize(
-        "ffbp/stage-maps",
-        payload,
-        lambda: _build_stage_maps(cfg, tree, parent_level, keep_geometry),
+        key,
+        lambda: _build_stage_maps(cfg, tree, parent_level, keep_geometry, key),
     )
 
 
@@ -204,10 +204,9 @@ def _build_stage_maps(
     tree: SubapertureTree,
     parent_level: int,
     keep_geometry: bool,
+    cache_token: str,
 ) -> StageMaps:
     """Cold build of :func:`stage_maps` (the actual eqs. 1-4 work)."""
-    from repro.perf import memo_key
-
     parent = tree.stage(parent_level)
     child = tree.stage(parent_level - 1)
     offsets = tree.child_offsets(parent_level)
@@ -257,10 +256,7 @@ def _build_stage_maps(
         child_dtheta=child_dtheta,
         child_r=np.stack(child_r) if keep_geometry else None,
         child_theta=np.stack(child_th) if keep_geometry else None,
-        cache_token=memo_key(
-            "ffbp/stage-maps",
-            (cfg, _tree_sig(tree), parent_level, bool(keep_geometry)),
-        ),
+        cache_token=cache_token,
     )
 
 
@@ -359,8 +355,7 @@ def stage_tables(
         int(n_ranges),
     )
     return memoize(
-        "ffbp/stage-tables",
-        payload,
+        memo_key("ffbp/stage-tables", payload),
         lambda: _build_stage_tables(
             maps, cfg, options, child_beams, n_ranges
         ),

@@ -802,11 +802,7 @@ class ImageService:
             "deadline_misses": s.deadline_misses,
             "streams": s.streams,
             "cache": None if self._cache is None else self._cache.stats(),
-            "memo": {
-                k: v
-                for k, v in memo_stats().items()
-                if isinstance(v, (int, float))
-            },
+            "memo": memo_stats(),
             "faults": {
                 "contained": s.contained_faults,
                 "stalls": s.stalls,

@@ -184,7 +184,7 @@ def replay_identity_oracle(
     """
     from repro.machine.backends import get_machine
     from repro.machine.tracing import ActivityRecorder
-    from repro.perf.memo import clear_memo
+    from repro.perf import clear_memo
 
     clear_memo()  # the capture must happen inside this cell
     prefix = f"replay/{workload}/{spec}"

@@ -1,11 +1,13 @@
 """Result cache: addressing, counters, invalidation, robustness."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.exec.cache import (
     ResultCache,
-    cache_dir,
     code_version,
     default_cache,
     stable_digest,
@@ -83,7 +85,21 @@ class TestStore:
         cache.put(key, {"cycles": 123})
         hit, value = cache.get(key)
         assert hit and value == {"cycles": 123}
-        assert cache.stats() == {"hits": 1, "misses": 1, "stores": 1}
+        assert cache.stats() == {
+            "entries": 0,
+            "bytes": 0,
+            "hits": 1,
+            "misses": 1,
+            "disk_hits": 1,
+            "stores": 1,
+            "evictions": 0,
+        }
+
+    def test_disk_only_values_stay_writable(self, cache):
+        key = cache.entry_key("t")
+        cache.put(key, np.arange(3.0))
+        _, value = cache.get(key)
+        value[0] = 7.0  # never shared, so never frozen
 
     def test_corrupt_entry_is_a_miss_and_dropped(self, cache):
         key = cache.entry_key("t")
@@ -152,10 +168,146 @@ class TestStore:
         assert not hit
 
 
+    def test_unwritable_root_is_a_counted_no_op(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("occupied")
+        cache = ResultCache(not_a_dir)
+        key = cache.entry_key("t")
+        cache.put(key, [1, 2, 3])  # must not raise
+        assert cache.stores == 0
+        assert cache.get(key) == (False, None)
+        assert cache.stats()["misses"] == 1
+
+
+KIB_ARRAY = 128  # float64 elements: 1 KiB per array
+
+
+class TestMemoryTier:
+    def test_lru_evicts_the_least_recently_used(self):
+        cache = ResultCache(budget_bytes=2 * 1024)
+        for name in ("a", "b"):
+            cache.put(name, np.zeros(KIB_ARRAY))
+        assert cache.get("a")[0]  # "a" is now the most recent
+        cache.put("c", np.zeros(KIB_ARRAY))  # evicts "b", not "a"
+        assert cache.get("a")[0] and cache.get("c")[0]
+        assert cache.get("b") == (False, None)
+        stats = cache.stats()
+        assert stats["evictions"] == 1
+        assert stats["entries"] == 2
+        assert stats["bytes"] == 2 * 1024
+
+    def test_value_larger_than_budget_never_resident(self):
+        cache = ResultCache(budget_bytes=512)
+        big = np.zeros(1024)  # 8 KiB > budget
+        cache.put("big", big)
+        assert cache.stats()["entries"] == 0
+        assert cache.stores == 0
+        assert big.flags.writeable  # only resident values are frozen
+
+    def test_zero_budget_means_no_memory_tier(self):
+        cache = ResultCache(budget_bytes=0)
+        value = np.arange(4.0)
+        cache.put("k", value)
+        assert cache.get("k") == (False, None)
+        assert cache.stats()["entries"] == 0
+        assert value.flags.writeable
+
+    def test_hits_return_the_frozen_resident_value(self):
+        cache = ResultCache(budget_bytes=1 << 20)
+        value = {"arr": np.arange(4.0)}
+        cache.put("k", value)
+        hit, got = cache.get("k")
+        assert hit and got is value
+        with pytest.raises(ValueError):
+            got["arr"][0] = 1.0
+
+    def test_clear_drops_residents_and_keeps_counters(self):
+        cache = ResultCache(budget_bytes=1 << 20)
+        cache.put("k", np.zeros(2))
+        cache.get("k")
+        cache.clear()
+        stats = cache.stats()
+        assert (stats["entries"], stats["bytes"]) == (0, 0)
+        assert (stats["hits"], stats["stores"]) == (1, 1)
+
+
+class TestTiers:
+    def test_disk_hit_is_promoted_into_memory(self, tmp_path):
+        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
+        key = cache.entry_key("t")
+        cache.put(key, {"arr": np.arange(6.0)})
+        cache.clear()  # the disk copy survives
+        hit, value = cache.get(key)
+        assert hit
+        np.testing.assert_array_equal(value["arr"], np.arange(6.0))
+        with pytest.raises(ValueError):
+            value["arr"][0] = 1.0  # resident again, so frozen
+        assert cache.get(key)[1] is value  # served from memory now
+        stats = cache.stats()
+        assert (stats["hits"], stats["disk_hits"], stats["misses"]) == (2, 1, 0)
+        assert stats["entries"] == 1
+
+    def test_disk_false_skips_the_disk_tier(self, tmp_path):
+        cache = ResultCache(tmp_path, budget_bytes=1 << 20)
+        cache.put("k", np.zeros(2), disk=False)
+        assert list(tmp_path.iterdir()) == []
+        cache.put("d", np.zeros(2))
+        cache.clear()
+        assert cache.get("d", disk=False) == (False, None)
+        assert cache.get("d")[0]
+
+    def test_concurrent_use_of_one_store(self, tmp_path):
+        """``ImageService`` shares one store across its worker threads."""
+        cache = ResultCache(tmp_path, budget_bytes=24 * 1024)
+        n_threads, rounds, n_keys = 8, 2000, 12
+        expected = {f"k{i}": np.full(KIB_ARRAY, float(i)) for i in range(n_keys)}
+        start = threading.Barrier(n_threads)
+        bad: list[str] = []
+
+        def worker(t: int) -> None:
+            start.wait()
+            for r in range(rounds):
+                key = f"k{(t * 7 + r) % n_keys}"
+                hit, value = cache.get(key)
+                if hit:
+                    if not np.array_equal(value, expected[key]):
+                        bad.append(key)
+                else:
+                    cache.put(key, expected[key].copy())
+                if r % 20 == 19:
+                    cache.clear()
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the threads finely
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+
+        assert bad == []
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == n_threads * rounds
+        resident = list(cache._memory.values())
+        assert stats["entries"] == len(resident)
+        assert stats["bytes"] == sum(size for _, size in resident)
+        assert stats["bytes"] <= cache.budget_bytes
+
+
 class TestEnvironmentDefaults:
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "d"))
-        assert cache_dir() == tmp_path / "d"
+        cache = default_cache()
+        assert cache is not None
+        assert cache.root == tmp_path / "d"
+        cache.put(cache.entry_key("t"), [1])
+        assert (tmp_path / "d").is_dir()
 
     def test_default_cache_off_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

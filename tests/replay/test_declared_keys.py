@@ -19,7 +19,7 @@ from repro.kernels.ffbp_common import plan_ffbp
 from repro.kernels.opcounts import AutofocusWorkload
 from repro.machine.backends import get_machine
 from repro.machine.core import OpBlock
-from repro.perf.memo import clear_memo
+from repro.perf import clear_memo
 from repro.replay.machine import declared_key
 from repro.sar.config import RadarConfig
 from repro.verify.replay import (

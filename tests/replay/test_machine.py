@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.machine.backends import get_machine
-from repro.perf.memo import clear_memo, memo_disabled
+from repro.perf import clear_memo, memo_disabled
 from repro.replay.machine import ReplayMachine
 
 

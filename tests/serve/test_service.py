@@ -114,6 +114,20 @@ class TestImagePath:
         assert frame["cached"] is False
         assert health["cache"] is None
 
+    def test_unwritable_cache_dir_still_serves_the_result(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("occupied")
+
+        async def scenario(service):
+            frame, _ = await one_shot(service, {**IMG, "id": "nd"})
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frame, health
+
+        frame, health = service_test(scenario, cache_dir=str(not_a_dir))
+        assert frame["type"] == "result", frame
+        assert frame["cached"] is False
+        assert health["cache"]["stores"] == 0
+
     def test_identical_requests_in_one_window_coalesce(self):
         async def scenario(service):
             async def client(tag):
