@@ -5,10 +5,11 @@ revisits the same grid geometry (every Monte-Carlo repeat, every
 backend of a differential-oracle cell) must run at least 2x faster
 with the memo than with it disabled.  The workload here is the
 honest one from the hot paths: build the full FFBP cost plan --
-cosine-theorem index maps for every merge stage plus the per-stage
-window statistics -- ``N_REPEATS`` times for the same configuration,
-exactly what a sweep over window sizes or cores used to recompute
-per point.
+cosine-theorem child indices streamed over beam chunks for every
+merge stage and reduced to per-stage window statistics, with no stage
+maps built or memoised -- ``N_REPEATS`` times for the same
+configuration, exactly what a sweep over window sizes or cores used to
+recompute per point.  The plan itself is the one memo entry.
 
 Run with ``pytest benchmarks/test_perf_memo.py -s`` to see the
 measured ratio.

@@ -53,6 +53,7 @@ against a cold event-engine run of the same workload.
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import sys
@@ -99,10 +100,19 @@ def _time_best(fn: Callable[[], Any], repeats: int) -> tuple[float, Any, int]:
     before = _peak_rss_kb()
     best = float("inf")
     value = None
+    # As timeit does, keep the cyclic collector out of the timed call: a
+    # generation-2 pass over objects that earlier work left in the
+    # process can cost more than a quick row itself.
+    gc_was_enabled = gc.isenabled()
     for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        value = fn()
-        best = min(best, time.perf_counter() - t0)
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            value = fn()
+            best = min(best, time.perf_counter() - t0)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
     return best, value, max(0, _peak_rss_kb() - before)
 
 

@@ -59,10 +59,19 @@ def child_ranges(
     r = np.asarray(r, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     half = 0.5 * l
-    # cos(pi - theta) = -cos(theta); writing both out keeps the code a
-    # literal transcription of eqs. 1 and 2.
-    r1 = np.sqrt(r * r + half * half - 2.0 * r * half * np.cos(np.pi - theta))
-    r2 = np.sqrt(r * r + half * half - 2.0 * r * half * np.cos(theta))
+    # r_i = sqrt((r*r + half*half) - (2*r*half) * cos(.)), evaluated in
+    # place in exactly that operation order: the broadcast (r, theta)
+    # grid is the only large operand, so each equation allocates one
+    # grid array instead of three.  cos(pi - theta) = -cos(theta);
+    # writing both out keeps the code a transcription of eqs. 1 and 2.
+    grid = np.broadcast_shapes(r.shape, theta.shape)
+    base = r * r + half * half
+    two_r_half = 2.0 * r * half
+    r1 = np.multiply(two_r_half, np.cos(np.pi - theta), out=np.empty(grid))
+    r2 = np.multiply(two_r_half, np.cos(theta), out=np.empty(grid))
+    for ri in (r1, r2):
+        np.subtract(base, ri, out=ri)
+        np.sqrt(ri, out=ri)
     return r1, r2
 
 
@@ -83,11 +92,22 @@ def child_angles(
     if r1 is None or r2 is None:
         r1, r2 = child_ranges(r, theta, l)
     half = 0.5 * l
-    # Guard the arccos argument against round-off excursions past +-1.
-    c1 = np.clip((r1 * r1 + half * half - r * r) / (r1 * l), -1.0, 1.0)
-    c2 = np.clip((r2 * r2 + half * half - r * r) / (r2 * l), -1.0, 1.0)
-    theta1 = np.arccos(c1)
-    theta2 = np.pi - np.arccos(c2)
+    # c_i = ((r_i*r_i + half*half) - r*r) / (r_i*l), in place in that
+    # operation order (see child_ranges).
+    grid = np.broadcast_shapes(r.shape, r1.shape, r2.shape)
+    rr = r * r
+    den = np.empty(grid)
+    angles = []
+    for ri in (r1, r2):
+        c = np.multiply(ri, ri, out=np.empty(grid))
+        c += half * half
+        c -= rr
+        c /= np.multiply(ri, l, out=den)
+        # Guard the arccos argument against round-off excursions past +-1.
+        np.clip(c, -1.0, 1.0, out=c)
+        angles.append(np.arccos(c, out=c))
+    theta1, theta2 = angles
+    np.subtract(np.pi, theta2, out=theta2)
     return theta1, theta2
 
 

@@ -5,9 +5,17 @@ parent beam row of ``n_ranges`` samples).  Everything they need --
 valid-sample fractions (the skip-zero optimisation), how many child
 lookups fall inside the prefetched local-memory window versus going to
 external memory, and how much data the window prefetch itself moves --
-is derived here from the **actual index maps** of each merge stage
-(:func:`repro.sar.ffbp.stage_maps`), not from hand-waved locality
-assumptions.
+is derived here from the **actual child lookup indices** of each merge
+stage, not from hand-waved locality assumptions.
+
+The indices are generated on the fly from the cosine theorem (paper
+eqs. 1-4), as the Epiphany kernels generate them into their local
+banks: :func:`plan_stage` streams over chunks of parent beams
+(``PLAN_CHUNK_SAMPLES`` samples each), applies the image path's
+nearest-bin rule (:func:`repro.sar.ffbp.nearest_child_bins`) to each
+chunk and keeps only the per-row reductions.  No full index map
+(:class:`~repro.sar.ffbp.StageMaps`) is built or memoised for a plan;
+only the finished plan is.
 
 A key structural fact keeps plans small: the index maps depend only on
 the stage geometry, never on which parent is being merged, so per-row
@@ -24,12 +32,22 @@ import numpy as np
 from repro.geometry.apertures import SubapertureTree
 from repro.perf import memo_key, memoize
 from repro.sar.config import RadarConfig
-from repro.sar.ffbp import stage_maps
+from repro.sar.ffbp import (
+    child_axis,
+    child_samples,
+    nearest_child_bins,
+    stage_maps,  # noqa: F401  (the perfbench traced sweep patches this name)
+    stage_theta_axis,
+)
 
 PREFETCH_WINDOW_BYTES = 16016
 """The paper's prefetch budget: "the two upper data banks ... to store
 the subaperture data corresponding to two pulses, which is equal to
 16,016 bytes" (two 1001-sample complex64 rows)."""
+
+PLAN_CHUNK_SAMPLES = 32 * 1024
+"""Parent samples (beams x ranges) whose child indices :func:`plan_stage`
+holds at once: under 3 MB of temporaries, however large the stage."""
 
 
 @dataclass(frozen=True)
@@ -123,33 +141,51 @@ def plan_stage(
     level: int,
     window_bytes: int = PREFETCH_WINDOW_BYTES,
 ) -> StagePlan:
-    """Build the cost plan of one merge stage from its index maps."""
-    maps = stage_maps(cfg, tree, level)
+    """Build the cost plan of one merge stage, streaming its indices.
+
+    Child lookup indices are generated for a chunk of parent beams
+    (``PLAN_CHUNK_SAMPLES`` samples) at a time and reduced per row at
+    once: valid count, median child beam, and valid lookups outside the
+    prefetch window around that median.  Every reduction is per row, so the plan is byte-identical
+    to reducing the full stage maps (``tests/kernels/
+    test_plan_streaming.py`` keeps that reduction as its oracle).
+    """
     parent = tree.stage(level)
     child = tree.stage(level - 1)
-    n_children, beams, n_ranges = maps.valid.shape
+    n_children, beams, n_ranges = tree.merge_base, parent.beams, cfg.n_ranges
 
     row_bytes = n_ranges * 8
     per_child_window = window_bytes // max(1, n_children)
     window_rows = per_child_window // row_bytes  # 0 = no prefetch at all
+    half = window_rows // 2
 
-    valid_frac = maps.valid.mean(axis=(0, 2))
-    reads_total = maps.valid.sum(axis=(0, 2)).astype(np.int64)
-
-    med = np.median(maps.beam_idx, axis=2).astype(np.int64)  # (C, K)
-    if window_rows == 0:
-        in_window = np.zeros_like(maps.valid)
-    else:
-        half = window_rows // 2
-        in_window = np.abs(maps.beam_idx - med[:, :, None]) <= half
-    reads_ext = (maps.valid & ~in_window).sum(axis=(0, 2)).astype(np.int64)
+    theta = stage_theta_axis(cfg, tree, level)[:, None]  # (K, 1)
+    theta0, dtheta = child_axis(cfg, tree, level)
+    reads_total = np.zeros(beams, dtype=np.int64)
+    reads_ext = np.zeros(beams, dtype=np.int64)
+    med = np.empty((n_children, beams), dtype=np.int64)
+    chunk = max(1, PLAN_CHUNK_SAMPLES // n_ranges)
+    for k0 in range(0, beams, chunk):
+        rows = slice(k0, k0 + chunk)
+        samples = child_samples(cfg, tree, level, theta[rows])
+        for c, s in enumerate(samples):
+            ib, _, ok = nearest_child_bins(s, cfg, theta0, dtheta, child.beams)
+            m = np.median(ib, axis=1).astype(np.int64)
+            med[c, rows] = m
+            reads_total[rows] += np.count_nonzero(ok, axis=1)
+            if window_rows:
+                # |ib - m| > half, as one unsigned compare: ib - (m -
+                # half) wraps past 2 * half exactly when it is negative.
+                ib -= (m - half)[:, None]
+                ok &= ib.view(np.uint64) > 2 * half
+            reads_ext[rows] += np.count_nonzero(ok, axis=1)
 
     return StagePlan(
         level=level,
         n_parents=parent.n_subapertures,
         beams=beams,
         n_ranges=n_ranges,
-        valid_frac=valid_frac,
+        valid_frac=reads_total / (n_children * n_ranges),
         reads_row_total=reads_total,
         reads_row_ext=reads_ext,
         med_row=med,

@@ -40,7 +40,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.geometry.apertures import SubapertureTree
-from repro.geometry.cosine import combine_geometry, exact_child_geometry
+from repro.geometry.cosine import (
+    ChildSample,
+    combine_geometry,
+    exact_child_geometry,
+)
 from repro.perf import memo_key, memoize
 from repro.sar.config import RadarConfig
 from repro.sar.grids import PolarGrid, PolarImage
@@ -199,6 +203,80 @@ def stage_maps(
     )
 
 
+def child_axis(
+    cfg: RadarConfig, tree: SubapertureTree, parent_level: int
+) -> tuple[float, float]:
+    """``(theta0, dtheta)``: first centre and spacing of the child beam
+    axis of merge stage ``parent_level``.
+
+    A single-beam child (stage 0) spans the whole stage-0 window, so
+    its "spacing" is that span."""
+    child = tree.stage(parent_level - 1)
+    axis = stage_theta_axis(cfg, tree, parent_level - 1)
+    dtheta = (
+        float(axis[1] - axis[0])
+        if child.beams > 1
+        else cfg.theta_span + 2.0 * stage_theta_margin(cfg, tree, 0)
+    )
+    return float(axis[0]), dtheta
+
+
+def child_samples(
+    cfg: RadarConfig,
+    tree: SubapertureTree,
+    parent_level: int,
+    theta: np.ndarray,
+) -> list[ChildSample]:
+    """Child polar coordinates of the parent samples ``range_axis x theta``.
+
+    ``theta`` is a column ``(K', 1)`` of parent beam centres (all of
+    them, or a chunk); each returned sample broadcasts to ``(K', J)``.
+    For merge base 2 the coordinates come from the paper's eqs. 1-4;
+    for other bases the equivalent direct coordinate transform is used
+    (the two agree for base 2; see tests).  Every operation is
+    elementwise, so a chunk of beams yields exactly the rows the full
+    axis would.
+    """
+    r = cfg.range_axis()[None, :]  # (1, J)
+    if tree.merge_base == 2:
+        geom = combine_geometry(r, theta, l=tree.stage(parent_level - 1).length)
+        return [geom.first, geom.second]
+    return [
+        exact_child_geometry(r, theta, off)
+        for off in tree.child_offsets(parent_level)
+    ]
+
+
+def nearest_child_bins(
+    s: ChildSample,
+    cfg: RadarConfig,
+    theta0: float,
+    dtheta: float,
+    child_beams: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nearest-neighbour index rule: ``(beam_idx, range_idx, valid)``.
+
+    Rounds the fractional child beam/range positions of ``s`` to the
+    nearest bin, marks lookups that fall outside the child grid as
+    invalid (the paper's "skip the additions with zero"), and clips the
+    indices into the grid so invalid lookups still gather safely.  The
+    image path (:func:`stage_maps`) and the kernel cost planner both
+    apply this one rule.
+    """
+    fb = np.subtract(s.theta, theta0)
+    fb /= dtheta
+    ib = np.rint(fb, out=fb).astype(np.int64)
+    fr = np.subtract(s.r, cfg.r0)
+    fr /= cfg.dr
+    ir = np.rint(fr, out=fr).astype(np.int64)
+    # Viewed as unsigned, a negative index wraps past every bound, so
+    # one comparison per axis tests ``0 <= i < n``.
+    ok = (ib.view(np.uint64) < child_beams) & (ir.view(np.uint64) < cfg.n_ranges)
+    np.clip(ib, 0, child_beams - 1, out=ib)
+    np.clip(ir, 0, cfg.n_ranges - 1, out=ir)
+    return ib, ir, ok
+
+
 def _build_stage_maps(
     cfg: RadarConfig,
     tree: SubapertureTree,
@@ -207,24 +285,9 @@ def _build_stage_maps(
     cache_token: str,
 ) -> StageMaps:
     """Cold build of :func:`stage_maps` (the actual eqs. 1-4 work)."""
-    parent = tree.stage(parent_level)
-    child = tree.stage(parent_level - 1)
-    offsets = tree.child_offsets(parent_level)
-    r = cfg.range_axis()[None, :]  # (1, J)
+    child_beams = tree.stage(parent_level - 1).beams
+    child_theta0, child_dtheta = child_axis(cfg, tree, parent_level)
     theta = stage_theta_axis(cfg, tree, parent_level)[:, None]  # (K, 1)
-    child_axis = stage_theta_axis(cfg, tree, parent_level - 1)
-    child_dtheta = (
-        float(child_axis[1] - child_axis[0])
-        if child.beams > 1
-        else cfg.theta_span + 2.0 * stage_theta_margin(cfg, tree, 0)
-    )
-    child_theta0 = float(child_axis[0])
-
-    if tree.merge_base == 2:
-        geom = combine_geometry(r, theta, l=child.length)
-        samples = [geom.first, geom.second]
-    else:
-        samples = [exact_child_geometry(r, theta, off) for off in offsets]
 
     beam_idx = []
     range_idx = []
@@ -232,14 +295,10 @@ def _build_stage_maps(
     residual = []
     child_r = []
     child_th = []
-    for s in samples:
-        fb = (s.theta - child_theta0) / child_dtheta
-        fr = (s.r - cfg.r0) / cfg.dr
-        ib = np.rint(fb).astype(np.int64)
-        ir = np.rint(fr).astype(np.int64)
-        ok = (ib >= 0) & (ib < child.beams) & (ir >= 0) & (ir < cfg.n_ranges)
-        ibc = np.clip(ib, 0, child.beams - 1)
-        irc = np.clip(ir, 0, cfg.n_ranges - 1)
+    for s in child_samples(cfg, tree, parent_level, theta):
+        ibc, irc, ok = nearest_child_bins(
+            s, cfg, child_theta0, child_dtheta, child_beams
+        )
         beam_idx.append(ibc)
         range_idx.append(irc)
         valid.append(ok)

@@ -482,6 +482,28 @@ class ImageService:
         deadline_ms = self._effective_deadline_ms(request)
         return None if deadline_ms is None else deadline_ms / 1e3
 
+    def _missed_deadline(self, request, elapsed: float) -> bool:
+        """The one deadline rule, shared by the batched and streamed
+        paths: a request whose measured ``elapsed`` seconds exceed its
+        effective deadline answers ``deadline``, never ``result`` --
+        whether its wait timed out or its work was already done."""
+        deadline = self._deadline_of(request)
+        return deadline is not None and elapsed > deadline
+
+    async def _send_deadline(self, request, what: str, send, **extra) -> None:
+        """Answer a missed deadline with a structured ``deadline`` error."""
+        self._mark_error()
+        self.stats.deadline_misses += 1
+        self._window.record("deadline_miss")
+        response = error_response(
+            request.id,
+            "deadline",
+            f"{what} exceeded its "
+            f"{self._effective_deadline_ms(request)} ms deadline",
+        )
+        response.update(extra)
+        await send(response)
+
     async def _enqueue(self, pending: _Pending) -> None:
         """Hand a request to the batcher -- or, once the batcher is
         gone (draining close), run it as its own group so its future
@@ -542,29 +564,29 @@ class ImageService:
             try:
                 outcome = await asyncio.wait_for(pending.future, timeout=timeout)
             except asyncio.TimeoutError:
-                self._breaker_record(spec, verdict, ok=False)
-                self._mark_error()
-                self.stats.deadline_misses += 1
-                self._window.record("deadline_miss")
-                response = error_response(
-                    request.id,
-                    "deadline",
-                    f"request exceeded its "
-                    f"{self._effective_deadline_ms(request)} ms deadline",
-                )
-                response["retries"] = retries
-                await send(response)
-                return
+                outcome = None
             except Exception as exc:  # structured, never a connection drop
                 self._mark_error()
                 response = error_response(request.id, "internal", str(exc))
                 response["retries"] = retries
                 await send(response)
                 return
+            elapsed = time.perf_counter() - t0
             err = None
-            if outcome[0] == "ok":
+            if outcome is not None and outcome[0] == "ok":
                 _, value, cached = outcome
                 err = value.get("error") if isinstance(value, dict) else None
+            # A timed-out wait, or a result (not a contained fault)
+            # measured past the deadline, is a deadline miss.
+            if outcome is None or (
+                outcome[0] == "ok"
+                and err is None
+                and self._missed_deadline(request, elapsed)
+            ):
+                self._breaker_record(spec, verdict, ok=False)
+                await self._send_deadline(request, "request", send, retries=retries)
+                return
+            if outcome[0] == "ok":
                 if err is None:
                     self._breaker_record(spec, verdict, ok=True)
                     self._mark_served()
@@ -573,7 +595,7 @@ class ImageService:
                         id=request.id,
                         type="result",
                         cached=bool(cached),
-                        elapsed_ms=round((time.perf_counter() - t0) * 1e3, 3),
+                        elapsed_ms=round(elapsed * 1e3, 3),
                         retries=retries,
                     )
                     if degraded:
@@ -654,8 +676,8 @@ class ImageService:
             finally:
                 loop.call_soon_threadsafe(frames.put_nowait, _DONE)
 
-        job = loop.run_in_executor(self._pool, run)
         t0 = time.perf_counter()
+        job = loop.run_in_executor(self._pool, run)
         deadline = self._deadline_of(request)
 
         async def forward() -> dict:
@@ -671,20 +693,14 @@ class ImageService:
         try:
             value = await asyncio.wait_for(forward(), timeout=deadline)
         except asyncio.TimeoutError:
-            self._mark_error()
-            self.stats.deadline_misses += 1
-            self._window.record("deadline_miss")
-            await send(
-                error_response(
-                    request.id, "deadline",
-                    f"stream exceeded its "
-                    f"{self._effective_deadline_ms(request)} ms deadline",
-                )
-            )
-            return
+            value = None
         except Exception as exc:
             self._mark_error()
             await send(error_response(request.id, "internal", str(exc)))
+            return
+        elapsed = time.perf_counter() - t0
+        if value is None or self._missed_deadline(request, elapsed):
+            await self._send_deadline(request, "stream", send)
             return
         self._mark_served()
         response = dict(value)
@@ -692,7 +708,7 @@ class ImageService:
             id=request.id,
             type="result",
             cached=False,
-            elapsed_ms=round((time.perf_counter() - t0) * 1e3, 3),
+            elapsed_ms=round(elapsed * 1e3, 3),
         )
         await send(response)
 

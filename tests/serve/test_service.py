@@ -9,11 +9,14 @@ exactly as ``repro serve`` runs them.
 import asyncio
 import json
 import struct
+import time
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
 from repro.serve import ImageService, ServeSettings, decode_array, encode_frame, read_frame
+from repro.serve import service as service_module
 
 FAST = dict(host="127.0.0.1", port=0, workers=2, batch_window_ms=1.0)
 
@@ -293,6 +296,69 @@ class TestDeadlines:
         )
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
+
+
+class InlineExecutor(Executor):
+    """Runs each job on submit: the job is done before it is awaited."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+OVERRUN_S = 0.005  # every job below takes 5 ms against a 1 ms deadline
+
+
+class TestOneDeadlineRule:
+    """Measured elapsed time against the effective deadline decides
+    ``deadline`` vs ``result``, even when the work is already done by
+    the time the service awaits it -- no timer race decides."""
+
+    def test_batched_done_job_past_deadline_is_a_miss(self):
+        async def scenario(service):
+            async def enqueue_done(pending):
+                time.sleep(OVERRUN_S)
+                pending.future.set_result(("ok", {"image": None}, False))
+
+            service._enqueue = enqueue_done
+            frame, _ = await one_shot(
+                service, {**IMG, "id": "late", "deadline_ms": 1}
+            )
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frame, health
+
+        frame, health = service_test(scenario)
+        assert frame["type"] == "error"
+        assert frame["code"] == "deadline"
+        assert frame["id"] == "late"
+        assert health["deadline_misses"] == 1
+
+    def test_streaming_done_job_past_deadline_is_a_miss(self, monkeypatch):
+        def overrun(payload, emit, stream_data=False):
+            time.sleep(OVERRUN_S)
+            return {"image": None}
+
+        monkeypatch.setattr(
+            service_module.workers, "form_image_streaming", overrun
+        )
+
+        async def scenario(service):
+            pool, service._pool = service._pool, InlineExecutor()
+            try:
+                frame, _ = await one_shot(
+                    service, {**IMG, "id": "late", "stream": True, "deadline_ms": 1}
+                )
+            finally:
+                service._pool = pool
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frame, health
+
+        frame, health = service_test(scenario)
+        assert frame["type"] == "error"
+        assert frame["code"] == "deadline"
+        assert "stream exceeded its 1" in frame["detail"]
+        assert health["deadline_misses"] == 1
 
 
 class TestProfilePath:
