@@ -773,8 +773,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=5.0,
         metavar="MS",
-        help="how long a request waits for batchable company "
-        "(default: %(default)s)",
+        help="how long a cache miss waits for batchable company; "
+        "cache hits are answered at once (default: %(default)s)",
     )
     p.add_argument(
         "--max-frame-bytes",

@@ -18,10 +18,17 @@ runs join the committed bench trajectory as a serving dimension::
       "clients": 4, "requests_per_client": 20, "total": 80,
       "errors": 0,
       "latency_ms": {"p50": 1.9, "p99": 58.2, "mean": ..., "max": ...},
+      "latency_ms_cached": {"p50": 1.2, "p99": 3.4},
+      "latency_ms_computed": {"p50": 21.0, "p99": 58.2},
       "wall_s": 0.61, "throughput_rps": 131.4,
       "cached_responses": 79, "byte_identical": true,
       "server": {...health snapshot...}
     }
+
+``latency_ms_cached`` and ``latency_ms_computed`` split the ``result``
+latencies by outcome -- answered from the response cache or computed
+(coalesced duplicates included) -- with ``null`` percentiles when an
+outcome has no samples.
 """
 
 from __future__ import annotations
@@ -66,6 +73,15 @@ def percentile(samples: list[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = pos - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def _p50_p99(samples: list[float]) -> dict[str, float | None]:
+    if not samples:
+        return {"p50": None, "p99": None}
+    return {
+        "p50": round(percentile(samples, 50), 3),
+        "p99": round(percentile(samples, 99), 3),
+    }
 
 
 async def _request(reader, writer, obj: dict) -> tuple[dict, float]:
@@ -152,6 +168,7 @@ async def run_load(
     records = [r for client_records in per_client for r in client_records]
     latencies = [r["ms"] for r in records]
     errors = [r for r in records if r["type"] != "result"]
+    results = [r for r in records if r["type"] == "result"]
     unstructured = [
         r for r in errors if r["code"] not in STRUCTURED_ERROR_CODES
     ]
@@ -189,11 +206,14 @@ async def run_load(
         "degraded_responses": sum(1 for r in records if r["degraded"]),
         "retries": sum(r["retries"] for r in records),
         "latency_ms": {
-            "p50": round(percentile(latencies, 50), 3),
-            "p99": round(percentile(latencies, 99), 3),
+            **_p50_p99(latencies),
             "mean": round(sum(latencies) / len(latencies), 3),
             "max": round(max(latencies), 3),
         },
+        "latency_ms_cached": _p50_p99([r["ms"] for r in results if r["cached"]]),
+        "latency_ms_computed": _p50_p99(
+            [r["ms"] for r in results if not r["cached"]]
+        ),
         "wall_s": round(wall_s, 4),
         "throughput_rps": round(len(records) / wall_s, 2) if wall_s else None,
         "cached_responses": sum(1 for r in records if r["cached"]),
@@ -221,6 +241,10 @@ def run_load_sync(*args, **kwargs) -> dict[str, Any]:
     return asyncio.run(run_load(*args, **kwargs))
 
 
+def _ms(value: float | None) -> str:
+    return "-" if value is None else f"{value:.2f} ms"
+
+
 def format_load(doc: dict[str, Any]) -> str:
     """Human-readable one-screen summary (stderr)."""
     lat = doc["latency_ms"]
@@ -229,6 +253,14 @@ def format_load(doc: dict[str, Any]) -> str:
         f"requests = {doc['total']} total, {doc['errors']} errors",
         f"load: p50 {lat['p50']:.2f} ms   p99 {lat['p99']:.2f} ms   "
         f"mean {lat['mean']:.2f} ms   max {lat['max']:.2f} ms",
+        "load: "
+        + "   ".join(
+            f"{outcome} p50 {_ms(split['p50'])} p99 {_ms(split['p99'])}"
+            for outcome, split in (
+                ("cached", doc["latency_ms_cached"]),
+                ("computed", doc["latency_ms_computed"]),
+            )
+        ),
         f"load: {doc['wall_s']:.3f}s wall, {doc['throughput_rps']} req/s, "
         f"{doc['cached_responses']} cached responses",
     ]

@@ -7,11 +7,11 @@ answer it produces comes from the layers below --
 - **workers** (:mod:`repro.serve.workers`): pure, picklable task
   functions over the ``sar``/``kernels`` stacks,
 - **execution** (:mod:`repro.exec`): each batch runs through an
-  :class:`~repro.exec.runner.ExperimentRunner` whose attached
-  :class:`~repro.exec.cache.ResultCache` doubles as the content-
-  addressed *response cache* -- a repeated identical request is served
-  from disk, byte-identical, ``code_version()``-invalidated, and the
-  hit is counted,
+  :class:`~repro.exec.runner.ExperimentRunner`, and a
+  :class:`~repro.exec.cache.ResultCache` is the content-addressed
+  *response cache* -- a repeated identical request is served from
+  disk, byte-identical, ``code_version()``-invalidated, and the hit is
+  counted,
 - **performance** (:mod:`repro.perf`): merge geometry memoised across
   tenants sharing a grid,
 - **faults** (:mod:`repro.faults`): watchdog stalls and injected
@@ -27,17 +27,22 @@ answer it produces comes from the layers below --
   ``replay(event:*)``, then ``analytic:*``) when the real backend
   keeps failing.
 
-Scheduling: requests land on one queue; a batcher drains it, waits
-``batch_window_ms`` for compatible company, groups by cache payload
-(identical requests in one window *coalesce* onto a single compute)
-and dispatches each group to a worker-thread pool.  Per-request
-deadlines convert to structured ``deadline`` error responses -- a
-slow request can never hang its connection.  With ``group_jobs >= 2``
-each group fans out over a *process* pool whose death is contained
-(``broken-pool`` failures, retried on a fresh pool by the serve-level
-retry) -- one poisoned request cannot take down its batch window.
-``close()`` drains: queued and in-flight requests get their terminal
-response before the listener and pools go away.
+Scheduling: every request first looks up the response cache, once
+per attempt, on the event loop; a hit is answered there and then,
+ahead of the batch window and the worker pool.  Only misses land on
+the queue; a batcher drains it, waits ``batch_window_ms`` for
+compatible company, groups by cache payload (identical misses in one
+window *coalesce* onto a single compute) and dispatches each group to
+a worker-thread pool, which stores each computed value in the cache.
+The ``batches`` and ``coalesced`` counters therefore count only groups
+of misses.  Per-request deadlines convert to structured ``deadline``
+error responses -- a slow request can never hang its connection.
+With ``group_jobs >= 2`` each group fans out over a *process* pool
+whose death is contained (``broken-pool`` failures, retried on a fresh
+pool by the serve-level retry) -- one poisoned request cannot take
+down its batch window.  ``close()`` drains: queued and in-flight
+requests get their terminal response before the listener and pools
+go away.
 """
 
 from __future__ import annotations
@@ -203,9 +208,9 @@ class ServeStats:
 
 @dataclass
 class _Pending:
-    """One batchable request waiting for its compute.
+    """One batchable request (a cache miss) waiting for its compute.
 
-    The future resolves to ``("ok", value, cached)`` or
+    The future resolves to ``("ok", value, False)`` or
     ``("fail", kind, text)`` -- never an exception for a *task-level*
     failure, so the dispatch side can classify retryability."""
 
@@ -337,9 +342,12 @@ class ImageService:
         lock = asyncio.Lock()
         conn_tasks: set[asyncio.Task] = set()
 
-        async def send(obj: dict) -> None:
+        async def send(obj: dict | bytes) -> None:
+            """Write one frame: a response dict, or one already encoded."""
+            if not isinstance(obj, bytes):
+                obj = encode_frame(obj, self.settings.max_frame_bytes)
             async with lock:
-                writer.write(encode_frame(obj, self.settings.max_frame_bytes))
+                writer.write(obj)
                 await writer.drain()
 
         try:
@@ -471,6 +479,24 @@ class ImageService:
         self.stats.errors += 1
         self._window.record("error")
 
+    async def _send_result(self, request, response: dict, send) -> None:
+        """Send a ``result`` frame and count it served -- or, when the
+        result does not fit in one frame, answer a structured
+        ``oversized`` error naming the byte limit and count an error.
+        Nothing was written, so the connection stays usable."""
+        try:
+            frame = encode_frame(response, self.settings.max_frame_bytes)
+        except ProtocolError as exc:
+            self._mark_error()
+            error = error_response(request.id, exc.code, f"result {exc.detail}")
+            for extra in ("retries", "degraded", "degraded_to"):
+                if extra in response:
+                    error[extra] = response[extra]
+            await send(error)
+            return
+        self._mark_served()
+        await send(frame)
+
     # -- request execution -----------------------------------------------
 
     def _effective_deadline_ms(self, request) -> float | None:
@@ -539,6 +565,34 @@ class ImageService:
         if spec is not None and verdict in ("pass", "probe"):
             self._breaker.record(spec, ok)
 
+    def _lookup(self, request) -> tuple | None:
+        """The response-cache hit for ``request`` as an ``("ok", value,
+        True)`` outcome, or ``None`` on a miss (or with no cache).
+
+        Runs inline on the loop thread: one small disk read and unpickle.
+        """
+        if self._cache is None:
+            return None
+        found, value = self._cache.get(
+            response_key(self._cache, request.payload())
+        )
+        return ("ok", value, True) if found else None
+
+    async def _compute(
+        self, request, deadline: float | None, t0: float
+    ) -> tuple | None:
+        """Batch a cache miss and await its outcome; ``None`` when the
+        request's deadline runs out first."""
+        pending = _Pending(request=request)
+        await self._enqueue(pending)
+        timeout = None
+        if deadline is not None:
+            timeout = max(deadline - (time.perf_counter() - t0), 0.0)
+        try:
+            return await asyncio.wait_for(pending.future, timeout=timeout)
+        except asyncio.TimeoutError:
+            return None
+
     async def _run_batched(self, request, send) -> None:
         t0 = time.perf_counter()
         deadline = self._deadline_of(request)
@@ -556,15 +610,11 @@ class ImageService:
         retry_key = stable_digest(effective.payload())
         retries = 0
         while True:
-            pending = _Pending(request=effective)
-            await self._enqueue(pending)
-            timeout = None
-            if deadline is not None:
-                timeout = max(deadline - (time.perf_counter() - t0), 0.0)
             try:
-                outcome = await asyncio.wait_for(pending.future, timeout=timeout)
-            except asyncio.TimeoutError:
-                outcome = None
+                # A hit is answered here, on the loop: no window, no pool.
+                outcome = self._lookup(effective) or await self._compute(
+                    effective, deadline, t0
+                )
             except Exception as exc:  # structured, never a connection drop
                 self._mark_error()
                 response = error_response(request.id, "internal", str(exc))
@@ -589,7 +639,6 @@ class ImageService:
             if outcome[0] == "ok":
                 if err is None:
                     self._breaker_record(spec, verdict, ok=True)
-                    self._mark_served()
                     response = dict(value)
                     response.update(
                         id=request.id,
@@ -602,7 +651,7 @@ class ImageService:
                         response.update(
                             degraded=True, degraded_to=effective.backend
                         )
-                    await send(response)
+                    await self._send_result(request, response, send)
                     return
                 # A contained fault (stall blame, injected fault) from
                 # the profile path: retryable -- the work is pure and
@@ -702,7 +751,6 @@ class ImageService:
         if value is None or self._missed_deadline(request, elapsed):
             await self._send_deadline(request, "stream", send)
             return
-        self._mark_served()
         response = dict(value)
         response.update(
             id=request.id,
@@ -710,7 +758,7 @@ class ImageService:
             cached=False,
             elapsed_ms=round(elapsed * 1e3, 3),
         )
-        await send(response)
+        await self._send_result(request, response, send)
 
     # -- batching ---------------------------------------------------------
 
@@ -773,7 +821,6 @@ class ImageService:
                 self._pool,
                 _execute_group,
                 [waiters[0].request.payload() for _, waiters in order],
-                [digest for digest, _ in order],
                 self._cache,
                 self.settings.group_jobs,
             )
@@ -788,14 +835,14 @@ class ImageService:
             for _ in range(rebuilds):
                 self._window.record("pool_rebuild")
         for (_, waiters), outcome in zip(order, outcomes):
-            value, cached, fkind, ftext = outcome
+            value, fkind, ftext = outcome
             for pending in waiters:
                 if pending.future.done():
                     continue  # its client already timed out
                 if ftext is not None:
                     pending.future.set_result(("fail", fkind, ftext))
                 else:
-                    pending.future.set_result(("ok", value, cached))
+                    pending.future.set_result(("ok", value, False))
 
     # -- health ----------------------------------------------------------
 
@@ -837,41 +884,55 @@ class ImageService:
         }
 
 
+def _task_key(payload: dict) -> str:
+    return f"serve/{payload.get('kind')}/{stable_digest(payload)}"
+
+
+def response_key(cache: ResultCache, payload: dict) -> str:
+    """The response-cache address of ``payload``: the entry an
+    :class:`ExperimentRunner` with ``cache`` attached would use for the
+    ``serve/{kind}/{stable_digest(payload)}`` task over ``payload``."""
+    return cache.entry_key(_task_key(payload), payload=((payload,), {}))
+
+
 def _execute_group(
     payloads: list[dict],
-    digests: list[str],
     cache: ResultCache | None,
     jobs: int = 1,
-) -> tuple[list[tuple[Any, bool, str | None, str | None]], int]:
-    """Run one compatible group through an :class:`ExperimentRunner`.
+) -> tuple[list[tuple[Any, str | None, str | None]], int]:
+    """Run one compatible group of cache misses through an
+    :class:`ExperimentRunner`.
 
     Runs in a worker thread.  Returns ``(outcomes, pool_rebuilds)``
-    where each outcome is ``(value, cached, failure_kind,
-    failure_text)`` per payload, in order; a failure is the formatted
+    where each outcome is ``(value, failure_kind, failure_text)`` per
+    payload, in order; a failure is the formatted
     :class:`~repro.exec.runner.TaskFailure` text plus its kind (the
     dispatch side retries ``broken-pool``), never an exception, so one
     bad request cannot poison its batch-mates.  With ``jobs >= 2`` the
     group fans out over a process pool; a worker death is contained by
     the runner as ``broken-pool`` failures and reported through
     ``pool_rebuilds``.  Each task runs once: retrying is the caller's
-    decision.
+    decision.  The caller has already looked each payload up, so the
+    runner runs uncached and every successful value -- a contained
+    fault's diagnosis included -- is stored here under
+    :func:`response_key`.
     """
     tasks = []
-    for payload, digest in zip(payloads, digests):
+    for payload in payloads:
         fn = (
             workers.profile_kernel
             if payload.get("kind") == "profile"
             else workers.form_image
         )
-        tasks.append(
-            TaskSpec(key=f"serve/{payload.get('kind')}/{digest}", fn=fn, args=(payload,))
-        )
-    runner = ExperimentRunner(jobs=jobs, cache=cache)
+        tasks.append(TaskSpec(key=_task_key(payload), fn=fn, args=(payload,)))
+    runner = ExperimentRunner(jobs=jobs, cache=None)
     results = runner.run(tasks, strict=False)
-    out: list[tuple[Any, bool, str | None, str | None]] = []
-    for res in results:
+    out: list[tuple[Any, str | None, str | None]] = []
+    for payload, res in zip(payloads, results):
         if res.ok:
-            out.append((res.value, res.cached, None, None))
+            if cache is not None:
+                cache.put(response_key(cache, payload), res.value)
+            out.append((res.value, None, None))
         else:
-            out.append((None, False, res.failure.kind, res.failure.format()))
+            out.append((None, res.failure.kind, res.failure.format()))
     return out, runner.stats.pool_rebuilds

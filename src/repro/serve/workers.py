@@ -2,9 +2,9 @@
 
 Module-level (picklable) so the service can schedule them through an
 :class:`repro.exec.ExperimentRunner` at any ``jobs`` level, and pure
-functions of their request payload so the runner's content-addressed
-:class:`~repro.exec.cache.ResultCache` can serve repeats byte-
-identically: the cache key digests the payload dict plus
+functions of their request payload so the service's content-addressed
+response cache (a :class:`~repro.exec.cache.ResultCache`) can serve
+repeats byte-identically: the cache key digests the payload dict plus
 :func:`~repro.exec.cache.code_version`, so any source edit invalidates
 every cached response at once.
 

@@ -70,6 +70,9 @@ class TestRunLoad:
         assert doc["cached_responses"] >= 1
         assert doc["server"]["served"] >= 6
         assert doc["server"]["cache"]["hits"] + doc["server"]["coalesced"] >= 1
+        # Latency split by outcome: the first request computes.
+        for split in (doc["latency_ms_computed"], doc["latency_ms_cached"]):
+            assert 0 < split["p50"] <= split["p99"] <= lat["max"]
         # The whole document must survive JSON (the bench trajectory).
         assert json.loads(dump_load(doc)) == doc
 
@@ -82,6 +85,8 @@ class TestRunLoad:
         )
         assert doc["errors"] == 0
         assert doc["byte_identical"] is None
+        assert doc["latency_ms_cached"] == {"p50": None, "p99": None}
+        assert doc["latency_ms_computed"]["p50"] > 0
 
     def test_shutdown_after_stops_the_server(self):
         async def main():
@@ -108,6 +113,7 @@ class TestRunLoad:
         doc = self._run(clients=1, requests=2, payload={"pulses": 32, "ranges": 33})
         text = format_load(doc)
         assert "p50" in text and "p99" in text
+        assert "cached p50" in text and "computed p50" in text
         assert "byte-identical: yes" in text
         assert len(text.splitlines()) <= 6
 

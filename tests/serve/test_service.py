@@ -9,6 +9,7 @@ exactly as ``repro serve`` runs them.
 import asyncio
 import json
 import struct
+import threading
 import time
 from concurrent.futures import Executor, Future
 
@@ -154,6 +155,68 @@ class TestImagePath:
         assert a["image"]["sha256"] != b["image"]["sha256"]
 
 
+class TestHitPath:
+    """A response-cache hit is answered on arrival: one lookup, no
+    batch window, no group, no worker."""
+
+    def test_hit_is_answered_while_the_only_worker_is_busy(self, monkeypatch):
+        started, release = threading.Event(), threading.Event()
+        form_image = service_module.workers.form_image
+
+        def blocking(payload):
+            if payload.get("noise_seed") == 7:
+                started.set()
+                release.wait(30)
+            return form_image(payload)
+
+        monkeypatch.setattr(service_module.workers, "form_image", blocking)
+
+        async def scenario(service):
+            first, _ = await one_shot(service, {**IMG, "id": "cold"})
+            busy = asyncio.create_task(
+                one_shot(service, {**IMG, "id": "busy", "noise_seed": 7})
+            )
+            try:
+                assert await asyncio.to_thread(started.wait, 30)
+                batches = service.stats.batches
+                hit, _ = await asyncio.wait_for(
+                    one_shot(service, {**IMG, "id": "hit"}), timeout=10
+                )
+                while_busy = not release.is_set()
+                hit_batches = service.stats.batches
+            finally:
+                release.set()
+                miss, _ = await busy
+            return first, hit, miss, while_busy, batches, hit_batches
+
+        first, hit, miss, while_busy, batches, hit_batches = service_test(
+            scenario, workers=1
+        )
+        assert hit["type"] == "result" and hit["cached"] is True
+        assert while_busy
+        assert hit_batches == batches
+        assert hit["image"]["data_b64"] == first["image"]["data_b64"]
+        assert miss["type"] == "result" and miss["cached"] is False
+
+    def test_one_cache_lookup_per_request(self):
+        n = 4
+
+        async def scenario(service):
+            frames = [
+                (await one_shot(service, {**IMG, "id": f"r{i}"}))[0]
+                for i in range(n)
+            ]
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frames, health
+
+        frames, health = service_test(scenario)
+        assert [f["cached"] for f in frames] == [False] + [True] * (n - 1)
+        assert health["cache"]["hits"] == n - 1
+        assert health["cache"]["misses"] == 1
+        assert health["cache"]["stores"] == 1
+        assert health["batches"] == 1  # only the miss formed a group
+
+
 class TestStreaming:
     def test_partials_cover_every_merge_level(self):
         async def scenario(service):
@@ -230,6 +293,41 @@ class TestContainment:
         err, ok = service_test(scenario, max_frame_bytes=2048)
         assert err["code"] == "oversized"
         assert ok["type"] == "health"
+
+    def test_oversized_result_is_a_structured_error(self):
+        """A result over the frame limit answers ``oversized`` naming
+        the limit -- computed and cached alike -- counts as an error,
+        and leaves the connection usable."""
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                first, _ = await asyncio.wait_for(
+                    send_recv(reader, writer, {**IMG, "id": "big"}), timeout=30
+                )
+                repeat, _ = await asyncio.wait_for(
+                    send_recv(reader, writer, {**IMG, "id": "again"}), timeout=30
+                )
+                small, _ = await send_recv(
+                    reader, writer, {**IMG, "id": "small", "pulses": 8, "ranges": 9}
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return first, repeat, small, service.stats, service._cache.stats()
+
+        first, repeat, small, stats, cache = service_test(
+            scenario, max_frame_bytes=4096
+        )
+        for frame, rid in ((first, "big"), (repeat, "again")):
+            assert frame["type"] == "error", frame
+            assert frame["code"] == "oversized"
+            assert frame["id"] == rid
+            assert "4096-byte limit" in frame["detail"]
+        assert cache["hits"] == 1  # the repeat took the hit path
+        assert small["type"] == "result"
+        assert stats.errors == 2
+        assert stats.served == 1
 
     def test_unknown_backend_is_a_structured_error(self):
         async def scenario(service):
