@@ -12,9 +12,6 @@ driven without writing Python:
 - ``specs``       dump the machine models' constants,
 - ``verify``      cross-backend conformance gate (oracles, golden
   snapshots, fuzz drivers; see :mod:`repro.verify`),
-- ``bench``       machine-readable performance benchmarks (wall time,
-  cycles, peak RSS; see :mod:`repro.eval.bench`), optionally gated
-  against a committed ``BENCH_<n>.json`` baseline,
 - ``serve``       long-running async image-formation service over a
   length-prefixed JSON protocol (see :mod:`repro.serve`): batched
   scheduling, content-addressed response cache, streamed FFBP merge
@@ -312,54 +309,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         chaos_cases=args.chaos,
         chaos_serve_cases=args.chaos_serve,
     )
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.eval.bench import (
-        compare_bench,
-        format_summary,
-        load_bench,
-        run_bench,
-    )
-
-    backends = tuple(
-        tok.strip() for tok in args.backends.split(",") if tok.strip()
-    )
-    fabric_backends = tuple(
-        tok.strip() for tok in args.fabric_backends.split(",") if tok.strip()
-    )
-    doc = run_bench(
-        quick=args.quick,
-        backends=backends,
-        repeats=args.repeats,
-        fabric_backends=fabric_backends,
-        replay=args.replay,
-    )
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"bench: wrote {args.out}", file=sys.stderr)
-    else:
-        print(text)
-    print(format_summary(doc), file=sys.stderr)
-    if args.against:
-        baseline = load_bench(args.against)
-        regressions, notes = compare_bench(doc, baseline, factor=args.factor)
-        for note in notes:
-            print(f"bench: note: {note}", file=sys.stderr)
-        if regressions:
-            for reg in regressions:
-                print(f"bench: REGRESSION: {reg}", file=sys.stderr)
-            return 1
-        print(
-            f"bench: ok vs {args.against} "
-            f"(factor {args.factor:g}, {len(notes)} notes)",
-            file=sys.stderr,
-        )
-    return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -686,62 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("specs", help="dump machine-model constants")
     p.set_defaults(fn=cmd_specs)
-
-    p = sub.add_parser(
-        "bench",
-        help="machine-readable performance benchmarks (JSON trajectory)",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="quick-scale workloads only (the CI smoke configuration)",
-    )
-    p.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write the JSON document here instead of stdout",
-    )
-    p.add_argument(
-        "--against",
-        metavar="PATH",
-        default=None,
-        help="compare to a baseline bench JSON; exit 1 on a wall-clock "
-        "regression beyond --factor",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats per workload, best kept (default: %(default)s)",
-    )
-    p.add_argument(
-        "--factor",
-        type=float,
-        default=2.0,
-        help="regression threshold multiplier (default: %(default)s)",
-    )
-    p.add_argument(
-        "--backends",
-        default="event:e16,analytic:e16",
-        metavar="B1,B2",
-        help="comma-separated backend specs to bench (default: %(default)s)",
-    )
-    p.add_argument(
-        "--fabric-backends",
-        default="analytic:4x(8x8)",
-        metavar="F1,F2",
-        help="comma-separated fabric specs for the sharded-FFBP rows; "
-        "empty string skips them (default: %(default)s)",
-    )
-    p.add_argument(
-        "--replay",
-        action="store_true",
-        help="add trace-compiled replay(event:e16) rows: one capture "
-        "warms the compiled-schedule cache, then cache hits are timed "
-        "(speedup_vs_cold is informational, not gated)",
-    )
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "serve",

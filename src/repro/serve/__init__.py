@@ -9,7 +9,7 @@ them onto the execution layer with the content-addressed
 streams partial FFBP merge levels back as they complete
 (:mod:`repro.serve.service`).  :mod:`repro.serve.load` is the paired
 load generator / latency-percentile harness (``repro load``), emitting
-``repro-load/1`` JSON rows for the bench trajectory.
+one ``repro-load/1`` JSON document per run.
 """
 
 from repro.serve.load import LOAD_SCHEMA, format_load, run_load, run_load_sync

@@ -10,8 +10,8 @@ content-addressed response cache: the first request computes, every
 repeat must come back ``cached`` and byte-identical (the SHA-256
 digests of all responses are compared).
 
-Output is a single JSON document (schema ``repro-load/1``) so load
-runs join the committed bench trajectory as a serving dimension::
+Output is a single JSON document (schema ``repro-load/1``), so every
+load run leaves a comparable latency data point::
 
     {
       "schema": "repro-load/1",

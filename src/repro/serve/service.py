@@ -481,21 +481,31 @@ class ImageService:
 
     async def _send_result(self, request, response: dict, send) -> None:
         """Send a ``result`` frame and count it served -- or, when the
-        result does not fit in one frame, answer a structured
-        ``oversized`` error naming the byte limit and count an error.
-        Nothing was written, so the connection stays usable."""
+        result does not fit in one frame, answer ``oversized``."""
         try:
             frame = encode_frame(response, self.settings.max_frame_bytes)
         except ProtocolError as exc:
-            self._mark_error()
-            error = error_response(request.id, exc.code, f"result {exc.detail}")
-            for extra in ("retries", "degraded", "degraded_to"):
-                if extra in response:
-                    error[extra] = response[extra]
-            await send(error)
+            extra = {
+                key: response[key]
+                for key in ("retries", "degraded", "degraded_to")
+                if key in response
+            }
+            await self._send_oversized(request, "result", exc, send, **extra)
             return
         self._mark_served()
         await send(frame)
+
+    async def _send_oversized(
+        self, request, what: str, exc: ProtocolError, send, **extra
+    ) -> None:
+        """Answer a frame over the byte limit with a structured
+        ``oversized`` error naming the limit, and count an error.  Frames
+        are encoded before any byte is written, so nothing of the refused
+        frame went out and the connection stays usable."""
+        self._mark_error()
+        response = error_response(request.id, exc.code, f"{what} {exc.detail}")
+        response.update(extra)
+        await send(response)
 
     # -- request execution -----------------------------------------------
 
@@ -743,6 +753,9 @@ class ImageService:
             value = await asyncio.wait_for(forward(), timeout=deadline)
         except asyncio.TimeoutError:
             value = None
+        except ProtocolError as exc:  # a partial frame over the limit
+            await self._send_oversized(request, "partial", exc, send)
+            return
         except Exception as exc:
             self._mark_error()
             await send(error_response(request.id, "internal", str(exc)))

@@ -6,7 +6,7 @@ from repro.faults.report import FaultReport
 from repro.kernels.ffbp_common import plan_ffbp
 from repro.kernels.ffbp_fabric import fabric_chips, run_ffbp_fabric, split_plan
 from repro.kernels.ffbp_spmd import run_ffbp_spmd
-from repro.machine.backends import get_machine
+from repro.machine.backends import get_machine, resolve_backend
 from repro.sar.config import RadarConfig
 
 
@@ -110,3 +110,21 @@ class TestRunFfbpFabric:
             plan,
         )
         assert other.cycles == clean.cycles
+
+
+class TestQuickScaleFabricCycles:
+    """The quick-scale ``analytic:4x(8x8)`` row, pinned cycle for cycle.
+
+    Both engines are deterministic, so the cycle counts and the
+    one-chip/fabric ratio (``speedup_vs_1chip`` in ``BENCH_6.json``)
+    are exact; any model change that moves them must update them here.
+    """
+
+    def test_four_chips_beat_one_chip_of_the_fabric(self):
+        plan = plan_ffbp(RadarConfig.small(n_pulses=256, n_ranges=257))
+        make, spec = resolve_backend("analytic:4x(8x8)")
+        one = run_ffbp_spmd(make(spec.chip), plan, spec.cores_per_chip)
+        fabric = run_ffbp_fabric(make(spec), plan)
+        assert one.cycles == 2_155_701
+        assert fabric.cycles == 2_016_599
+        assert round(one.cycles / fabric.cycles, 3) == 1.069

@@ -329,6 +329,43 @@ class TestContainment:
         assert stats.errors == 2
         assert stats.served == 1
 
+    def test_oversized_partial_is_a_structured_error(self):
+        """A streamed ``partial`` over the frame limit answers the
+        client-class ``oversized`` code, not ``internal``, counts one
+        error, and leaves the connection usable."""
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                streamed, _ = await asyncio.wait_for(
+                    send_recv(
+                        reader,
+                        writer,
+                        {"kind": "image", "id": "s", "pulses": 64, "ranges": 65,
+                         "algorithm": "ffbp", "stream": True,
+                         "stream_data": True},
+                    ),
+                    timeout=30,
+                )
+                health, _ = await send_recv(
+                    reader, writer, {"kind": "health", "id": "h"}
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return streamed, health, service.stats
+
+        streamed, health, stats = service_test(
+            scenario, max_frame_bytes=16384, no_cache=True
+        )
+        assert streamed["type"] == "error", streamed
+        assert streamed["code"] == "oversized"
+        assert streamed["id"] == "s"
+        assert streamed["detail"].startswith("partial frame of ")
+        assert "16384-byte limit" in streamed["detail"]
+        assert stats.errors == 1
+        assert health["type"] == "health"
+
     def test_unknown_backend_is_a_structured_error(self):
         async def scenario(service):
             reader, writer = await asyncio.open_connection("127.0.0.1", service.port)

@@ -170,67 +170,6 @@ class TestErrorPaths:
             build_parser().parse_args(["verify", "--quick", "--full"])
 
 
-class TestBenchCommand:
-    def test_bench_quick_emits_schema_json(self, capsys):
-        import json
-
-        rc = main(["bench", "--quick", "--repeats", "1"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert doc["schema"] == "repro-bench/1"
-        assert any(k.startswith("quick/") for k in doc["results"])
-
-    def test_bench_out_and_against_self(self, capsys, tmp_path):
-        base = tmp_path / "base.json"
-        rc = main(["bench", "--quick", "--repeats", "1", "--out", str(base)])
-        assert rc == 0
-        assert base.exists()
-        rc = main(
-            ["bench", "--quick", "--repeats", "1",
-             "--out", str(tmp_path / "again.json"), "--against", str(base)]
-        )
-        assert rc == 0
-        assert "bench: ok" in capsys.readouterr().err
-
-    def test_bench_regression_exits_1(self, capsys, tmp_path):
-        import json
-
-        base = tmp_path / "base.json"
-        rc = main(["bench", "--quick", "--repeats", "1", "--out", str(base)])
-        assert rc == 0
-        doc = json.loads(base.read_text())
-        for row in doc["results"].values():
-            row["wall_s"] /= 1000.0  # make the baseline impossibly fast
-        base.write_text(json.dumps(doc))
-        rc = main(
-            ["bench", "--quick", "--repeats", "1",
-             "--out", str(tmp_path / "cur.json"), "--against", str(base)]
-        )
-        assert rc == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_bench_replay_adds_replay_rows(self, capsys):
-        import json
-
-        rc = main(
-            ["bench", "--quick", "--repeats", "1",
-             "--fabric-backends", "", "--replay"]
-        )
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        row = doc["results"]["quick/ffbp_spmd16/replay(event:e16)"]
-        assert row["cycles"] == doc["results"]["quick/ffbp_spmd16/event:e16"]["cycles"]
-        assert row["speedup_vs_cold"] > 0
-        assert "fixed/autofocus_mpmd/replay(event:e16)" in doc["results"]
-
-    def test_bench_unknown_backend_is_usage_error(self, capsys):
-        rc = main(["bench", "--quick", "--repeats", "1",
-                   "--backends", "warpdrive:e16"])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestFabricCli:
     """Fabric spec grammar and sharding through the CLI surface."""
 
