@@ -13,7 +13,7 @@ eqs. 1-4), as the Epiphany kernels generate them into their local
 banks: :func:`plan_stage` streams over chunks of parent beams
 (``PLAN_CHUNK_SAMPLES`` samples each), applies the image path's
 nearest-bin rule (:func:`repro.sar.ffbp.nearest_child_bins`) to each
-chunk and keeps only the per-row reductions.  No full index map
+chunk and keeps only the per-row reductions.  No gather table
 (:class:`~repro.sar.ffbp.StageMaps`) is built or memoised for a plan;
 only the finished plan is.
 

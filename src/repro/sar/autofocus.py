@@ -383,10 +383,9 @@ def ffbp_with_autofocus(
     tree = SubapertureTree(cfg.n_pulses, cfg.spacing, cfg.merge_base)
     stage = initial_stage(data, cfg, opts)
     results: list[AutofocusResult] = []
-    keep = opts.needs_geometry
     for level in range(1, tree.n_stages + 1):
         beams = tree.stage(level).beams
-        maps = stage_maps(cfg, tree, level, keep_geometry=keep)
+        maps = stage_maps(cfg, tree, level, opts)
         if level >= start_level and beams >= min_beams and stage.shape[0] >= 2:
             minus = stage[0::2].copy()
             plus = stage[1::2].copy()

@@ -22,19 +22,21 @@ n_ranges)`` complex array, which lets a merge be one vectorised gather
 -- and lets the SPMD kernel slice parent beams across cores exactly as
 the paper partitions the output image (paper Fig. 6).
 
-Performance layer: the index tables (:func:`stage_maps`) and the
-derived gather stencils (:class:`StageTables`) depend only on grid
-geometry, never on the data, so both are memoised process-wide through
-:mod:`repro.perf` -- Monte-Carlo repeats, sweep points and the verify
-oracles share one build.  Memo hits are byte-identical to cold builds
-(asserted by ``tests/perf/test_byte_identity.py``), and
+Performance layer: each merge stage gathers through one table
+(:func:`stage_maps`): the nearest-neighbour indices plus only the
+stencil the options use, built in one pass from the child coordinates
+and memoised process-wide through :mod:`repro.perf`.  The table depends
+only on grid geometry, never on the data, so Monte-Carlo repeats, sweep
+points and the verify oracles share one build.  Memo hits are
+byte-identical to cold builds (asserted by
+``tests/perf/test_byte_identity.py``), and
 :func:`repro.perf.memo_disabled` restores the uncached behaviour
 exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +50,7 @@ from repro.geometry.cosine import (
 from repro.perf import memo_key, memoize
 from repro.sar.config import RadarConfig
 from repro.sar.grids import PolarGrid, PolarImage
+from repro.signal.interpolation import neville_weights
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class FfbpOptions:
         If True, multiply each nearest-neighbour child sample by the
         residual carrier phase ``exp(j 2 k_c (r_child - r_bin))`` --
         cheap and markedly improves quality; off by default to match
-        the paper.
+        the paper.  Only valid with ``"nearest"`` (the other kernels
+        interpolate the carrier instead).
     dtype:
         Working precision; ``complex64`` matches the paper's 2x32-bit
         pixels (both its Intel and Epiphany paths).
@@ -85,11 +89,11 @@ class FfbpOptions:
                 f"interpolation must be one of {self.INTERPOLATIONS}, "
                 f"got {self.interpolation!r}"
             )
-
-    @property
-    def needs_geometry(self) -> bool:
-        """Whether stage maps must keep exact child coordinates."""
-        return self.interpolation in ("bilinear", "cubic_range")
+        if self.phase_correction and self.interpolation != "nearest":
+            raise ValueError(
+                "phase_correction applies to nearest interpolation, "
+                f"not {self.interpolation!r}"
+            )
 
 
 def stage_theta_axis(
@@ -136,28 +140,36 @@ def stage_theta_margin(
 
 @dataclass(frozen=True)
 class StageMaps:
-    """Precomputed child lookup maps for one merge stage.
+    """The gather table of one merge stage for one set of options.
 
-    For every parent sample ``(beam k, range j)`` and every child
-    ``c``, the nearest child beam/range bin indices, a validity mask
-    (out-of-range contributions are skipped -- the paper's "skip the
-    additions with zero" optimisation), and optionally the residual
-    range for phase correction.
+    Every table holds, for every parent sample ``(beam k, range j)`` and
+    every child ``c``, the nearest child beam/range bin indices and a
+    validity mask (out-of-range contributions are skipped -- the
+    paper's "skip the additions with zero" optimisation).  On top of
+    that it holds only the stencil the options gather with:
 
-    All arrays have shape ``(n_children, parent_beams, n_ranges)``.
+    - ``phase``: nearest with ``phase_correction``, the residual carrier
+      factors ``exp(j 2 k_c (r_child - r_bin))`` in the working dtype;
+    - ``bl_*``: bilinear, the corner indices and fractional weights;
+    - ``cu_*``: cubic_range, the 4-tap range stencil and Neville
+      weights (nearest in beam).
+
+    All arrays have shape ``(n_children, parent_beams, n_ranges)``
+    (cubic tables add a trailing ``4`` axis); unused stencils are None.
     """
 
     beam_idx: np.ndarray
     range_idx: np.ndarray
     valid: np.ndarray
-    residual_r: np.ndarray
-    child_theta0: float = 0.0
-    child_dtheta: float = 1.0
-    child_r: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    child_theta: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    cache_token: str | None = field(repr=False, default=None, compare=False)
-    """Memo identity set by :func:`stage_maps`; derived gather tables
-    key off it so they never have to re-digest the (large) arrays."""
+    phase: np.ndarray | None = None
+    bl_ib: np.ndarray | None = None
+    bl_ir: np.ndarray | None = None
+    bl_ib1: np.ndarray | None = None
+    bl_ir1: np.ndarray | None = None
+    bl_tb: np.ndarray | None = None
+    bl_tr: np.ndarray | None = None
+    cu_taps: np.ndarray | None = None
+    cu_w: np.ndarray | None = None
 
     @property
     def n_children(self) -> int:
@@ -177,29 +189,31 @@ def stage_maps(
     cfg: RadarConfig,
     tree: SubapertureTree,
     parent_level: int,
-    keep_geometry: bool = False,
+    options: FfbpOptions | None = None,
 ) -> StageMaps:
-    """Compute the child lookup maps for one merge stage.
+    """The gather table of one merge stage for ``options``.
 
-    The maps depend only on the stage geometry, not on which parent
-    subaperture is being formed, so they are shared by every merge of
-    the stage (and by every core in the SPMD kernel).
+    The table depends only on the stage geometry, not on which parent
+    subaperture is being formed, so it is shared by every merge of the
+    stage (and by every core in the SPMD kernel).  ``options`` selects
+    the stencil built next to the nearest-neighbour indices (see
+    :class:`StageMaps`); the default is the paper's plain nearest.
 
-    For merge base 2 the child coordinates come from the paper's
-    eqs. 1-4; for other bases the equivalent direct coordinate
-    transform is used (the two agree for base 2; see tests).
-
-    Results are memoised per process by ``(cfg, tree, level,
-    keep_geometry)`` digest (see :mod:`repro.perf`): repeated runs over
-    the same geometry -- Monte-Carlo repeats, sweep points, the
-    differential oracles -- rebuild nothing.  Cached maps are
-    read-only; a memo hit is byte-identical to a cold build.
+    Results are memoised per process (see :mod:`repro.perf`), keyed on
+    the geometry and the stencil only -- the dtype enters the key only
+    when it shapes the ``phase`` table.  Cached tables are read-only; a
+    memo hit is byte-identical to a cold build.
     """
-    payload = (cfg, _tree_sig(tree), parent_level, bool(keep_geometry))
-    key = memo_key("ffbp/stage-maps", payload)
+    opts = options or FfbpOptions()
+    stencil = (
+        ("phase", np.dtype(opts.dtype).name)
+        if opts.phase_correction
+        else opts.interpolation
+    )
+    payload = (cfg, _tree_sig(tree), parent_level, stencil)
     return memoize(
-        key,
-        lambda: _build_stage_maps(cfg, tree, parent_level, keep_geometry, key),
+        memo_key("ffbp/stage-maps", payload),
+        lambda: _build_stage_maps(cfg, tree, parent_level, opts),
     )
 
 
@@ -281,144 +295,48 @@ def _build_stage_maps(
     cfg: RadarConfig,
     tree: SubapertureTree,
     parent_level: int,
-    keep_geometry: bool,
-    cache_token: str,
+    options: FfbpOptions,
 ) -> StageMaps:
-    """Cold build of :func:`stage_maps` (the actual eqs. 1-4 work)."""
+    """Cold build of :func:`stage_maps`: eqs. 1-4 once per child, then
+    the index rule and the selected stencil straight from the child
+    coordinates, which are dropped afterwards."""
     child_beams = tree.stage(parent_level - 1).beams
-    child_theta0, child_dtheta = child_axis(cfg, tree, parent_level)
+    theta0, dtheta = child_axis(cfg, tree, parent_level)
     theta = stage_theta_axis(cfg, tree, parent_level)[:, None]  # (K, 1)
+    n_ranges = cfg.n_ranges
+    k2 = 2.0 * cfg.wavenumber
 
-    beam_idx = []
-    range_idx = []
-    valid = []
-    residual = []
-    child_r = []
-    child_th = []
+    columns: dict[str, list[np.ndarray]] = {}
     for s in child_samples(cfg, tree, parent_level, theta):
-        ibc, irc, ok = nearest_child_bins(
-            s, cfg, child_theta0, child_dtheta, child_beams
-        )
-        beam_idx.append(ibc)
-        range_idx.append(irc)
-        valid.append(ok)
-        residual.append(s.r - (cfg.r0 + irc * cfg.dr))
-        if keep_geometry:
-            child_r.append(np.broadcast_to(s.r, ok.shape).copy())
-            child_th.append(np.broadcast_to(s.theta, ok.shape).copy())
-    return StageMaps(
-        beam_idx=np.stack(beam_idx),
-        range_idx=np.stack(range_idx),
-        valid=np.stack(valid),
-        residual_r=np.stack(residual),
-        child_theta0=child_theta0,
-        child_dtheta=child_dtheta,
-        child_r=np.stack(child_r) if keep_geometry else None,
-        child_theta=np.stack(child_th) if keep_geometry else None,
-        cache_token=cache_token,
-    )
-
-
-@dataclass(frozen=True)
-class StageTables:
-    """Data-independent gather stencils derived from :class:`StageMaps`.
-
-    Everything the per-merge inner loops used to recompute per run --
-    the nearest-neighbour phase-correction factors, the bilinear corner
-    indices and weights, the cubic 4-tap stencil indices and Neville
-    weights -- is pure geometry, so it is built once per ``(stage,
-    options)`` and memoised through :mod:`repro.perf`.  Only the fields
-    the selected interpolation needs are populated.
-
-    Per-child arrays have shape ``(n_children, parent_beams, n_ranges)``
-    (cubic tap tables add a trailing ``4`` axis).
-    """
-
-    phase: np.ndarray | None = None
-    bl_ib: np.ndarray | None = None
-    bl_ir: np.ndarray | None = None
-    bl_ib1: np.ndarray | None = None
-    bl_ir1: np.ndarray | None = None
-    bl_tb: np.ndarray | None = None
-    bl_tr: np.ndarray | None = None
-    cu_taps: np.ndarray | None = None
-    cu_w: np.ndarray | None = None
-
-
-def _build_stage_tables(
-    maps: StageMaps,
-    cfg: RadarConfig,
-    options: FfbpOptions,
-    child_beams: int,
-    n_ranges: int,
-) -> StageTables:
-    """Cold build of the per-stage gather stencils (all children)."""
-    if options.interpolation == "nearest":
-        if not options.phase_correction:
-            return StageTables()
-        k2 = 2.0 * cfg.wavenumber
-        return StageTables(
-            phase=np.exp(1j * k2 * maps.residual_r).astype(options.dtype)
-        )
-    if maps.child_r is None:
-        raise ValueError(
-            f"{options.interpolation} interpolation needs "
-            "stage_maps(keep_geometry=True)"
-        )
-    if options.interpolation == "bilinear":
-        fb = (maps.child_theta - maps.child_theta0) / maps.child_dtheta
-        fr = (maps.child_r - cfg.r0) / cfg.dr
-        ib = np.clip(np.floor(fb).astype(np.int64), 0, max(child_beams - 2, 0))
-        ir = np.clip(np.floor(fr).astype(np.int64), 0, max(n_ranges - 2, 0))
-        return StageTables(
-            bl_ib=ib,
-            bl_ir=ir,
-            bl_ib1=np.minimum(ib + 1, child_beams - 1),
-            bl_ir1=np.minimum(ir + 1, n_ranges - 1),
-            bl_tb=np.clip(fb - ib, 0.0, 1.0),
-            bl_tr=np.clip(fr - ir, 0.0, 1.0),
-        )
-    # cubic_range: 4-point Lagrange stencil in range, nearest in beam.
-    from repro.signal.interpolation import neville_weights
-
-    fr = (maps.child_r - cfg.r0) / cfg.dr
-    i0 = np.clip(np.floor(fr).astype(np.int64), 1, max(n_ranges - 3, 1))
-    taps = np.clip(
-        i0[..., None] + np.arange(-1, 3, dtype=np.int64), 0, n_ranges - 1
-    )
-    return StageTables(cu_taps=taps, cu_w=neville_weights(fr - i0))
-
-
-def stage_tables(
-    maps: StageMaps,
-    cfg: RadarConfig,
-    options: FfbpOptions,
-    child_beams: int,
-    n_ranges: int,
-) -> StageTables:
-    """The (memoised) gather stencils for one ``(stage, options)``.
-
-    Keys off ``maps.cache_token`` -- the digest :func:`stage_maps`
-    stamped on the maps -- so no large array is ever re-hashed.  Maps
-    built by hand (``cache_token is None``) fall back to an uncached
-    build, which matches the historical per-call behaviour.
-    """
-    if maps.cache_token is None:
-        return _build_stage_tables(maps, cfg, options, child_beams, n_ranges)
-    payload = (
-        maps.cache_token,
-        options.interpolation,
-        bool(options.phase_correction),
-        np.dtype(options.dtype).name,
-        int(child_beams),
-        int(n_ranges),
-    )
-    return memoize(
-        memo_key("ffbp/stage-tables", payload),
-        lambda: _build_stage_tables(
-            maps, cfg, options, child_beams, n_ranges
-        ),
-    )
+        ib, ir, ok = nearest_child_bins(s, cfg, theta0, dtheta, child_beams)
+        row = {"beam_idx": ib, "range_idx": ir, "valid": ok}
+        if options.phase_correction:
+            residual = s.r - (cfg.r0 + ir * cfg.dr)
+            row["phase"] = np.exp(1j * k2 * residual).astype(options.dtype)
+        elif options.interpolation == "bilinear":
+            fb = (np.broadcast_to(s.theta, ok.shape) - theta0) / dtheta
+            fr = (np.broadcast_to(s.r, ok.shape) - cfg.r0) / cfg.dr
+            ib0 = np.clip(np.floor(fb).astype(np.int64), 0, max(child_beams - 2, 0))
+            ir0 = np.clip(np.floor(fr).astype(np.int64), 0, max(n_ranges - 2, 0))
+            row.update(
+                bl_ib=ib0,
+                bl_ir=ir0,
+                bl_ib1=np.minimum(ib0 + 1, child_beams - 1),
+                bl_ir1=np.minimum(ir0 + 1, n_ranges - 1),
+                bl_tb=np.clip(fb - ib0, 0.0, 1.0),
+                bl_tr=np.clip(fr - ir0, 0.0, 1.0),
+            )
+        elif options.interpolation == "cubic_range":
+            # 4-point Lagrange stencil in range, nearest in beam.
+            fr = (np.broadcast_to(s.r, ok.shape) - cfg.r0) / cfg.dr
+            i0 = np.clip(np.floor(fr).astype(np.int64), 1, max(n_ranges - 3, 1))
+            row["cu_taps"] = np.clip(
+                i0[..., None] + np.arange(-1, 3, dtype=np.int64), 0, n_ranges - 1
+            )
+            row["cu_w"] = neville_weights(fr - i0)
+        for name, arr in row.items():
+            columns.setdefault(name, []).append(arr)
+    return StageMaps(**{name: np.stack(arrs) for name, arrs in columns.items()})
 
 
 def combine_children(
@@ -436,7 +354,8 @@ def combine_children(
         Child stage data, shape ``(n_sub_child, child_beams, n_ranges)``.
         Consecutive groups of ``n_children`` children form one parent.
     maps:
-        Stage lookup maps from :func:`stage_maps`.
+        The stage's gather table from :func:`stage_maps`, built for
+        the same ``options``.
     beam_slice:
         Parent beams to produce (the SPMD kernel's unit of
         partitioning); default all.
@@ -459,20 +378,17 @@ def combine_children(
         raise ValueError(
             f"{n_child} child subapertures not divisible by merge base {b}"
         )
-    tables = stage_tables(
-        maps, cfg, options, children.shape[1], children.shape[2]
-    )
     if options.interpolation == "nearest":
-        out = _combine_nearest(children, maps, tables, options, beam_slice)
+        out = _combine_nearest(children, maps, options, beam_slice)
     else:
         out = None
         for c in range(b):
             group = children[c::b]  # (n_parent, child_beams, J)
             ok = maps.valid[c, beam_slice]
             if options.interpolation == "bilinear":
-                contrib = _bilinear_lookup(group, tables, c, beam_slice)
+                contrib = _bilinear_lookup(group, maps, c, beam_slice)
             else:
-                contrib = _cubic_range_lookup(group, maps, tables, c, beam_slice)
+                contrib = _cubic_range_lookup(group, maps, c, beam_slice)
             contrib = np.where(ok, contrib, 0)
             out = contrib if out is None else out + contrib
     return np.ascontiguousarray(out.astype(options.dtype, copy=False))
@@ -481,7 +397,6 @@ def combine_children(
 def _combine_nearest(
     children: np.ndarray,
     maps: StageMaps,
-    tables: StageTables,
     options: FfbpOptions,
     beam_slice: slice,
 ) -> np.ndarray:
@@ -504,7 +419,7 @@ def _combine_nearest(
     cidx = np.arange(b)[:, None, None]
     contrib = grouped[:, cidx, ib, ir]  # (n_parent, b, K', J)
     if options.phase_correction:
-        contrib = contrib * tables.phase[:, beam_slice]
+        contrib = contrib * maps.phase[:, beam_slice]
     contrib = np.where(ok, contrib, 0)
     out = contrib[:, 0]
     for c in range(1, b):
@@ -514,17 +429,17 @@ def _combine_nearest(
 
 def _bilinear_lookup(
     group: np.ndarray,
-    tables: StageTables,
+    maps: StageMaps,
     c: int,
     beam_slice: slice,
 ) -> np.ndarray:
     """2-D linear interpolation in (beam, range) of the child data."""
-    ib = tables.bl_ib[c, beam_slice]
-    ir = tables.bl_ir[c, beam_slice]
-    ib1 = tables.bl_ib1[c, beam_slice]
-    ir1 = tables.bl_ir1[c, beam_slice]
-    tb = tables.bl_tb[c, beam_slice]
-    tr = tables.bl_tr[c, beam_slice]
+    ib = maps.bl_ib[c, beam_slice]
+    ir = maps.bl_ir[c, beam_slice]
+    ib1 = maps.bl_ib1[c, beam_slice]
+    ir1 = maps.bl_ir1[c, beam_slice]
+    tb = maps.bl_tb[c, beam_slice]
+    tr = maps.bl_tr[c, beam_slice]
     return (
         group[:, ib, ir] * (1 - tb) * (1 - tr)
         + group[:, ib, ir1] * (1 - tb) * tr
@@ -536,7 +451,6 @@ def _bilinear_lookup(
 def _cubic_range_lookup(
     group: np.ndarray,
     maps: StageMaps,
-    tables: StageTables,
     c: int,
     beam_slice: slice,
 ) -> np.ndarray:
@@ -550,8 +464,8 @@ def _cubic_range_lookup(
     so results are bit-identical to the per-tap loop.
     """
     ib = maps.beam_idx[c, beam_slice]
-    taps = tables.cu_taps[c, beam_slice]  # (K', J, 4)
-    w = tables.cu_w[c, beam_slice]
+    taps = maps.cu_taps[c, beam_slice]  # (K', J, 4)
+    w = maps.cu_w[c, beam_slice]
     vals = group[:, ib[..., None], taps]  # (n_parent, K', J, 4)
     out = vals[..., 0] * w[..., 0]
     for tap in range(1, 4):
@@ -585,9 +499,8 @@ def ffbp_stages(
     tr = tree or SubapertureTree(cfg.n_pulses, cfg.spacing, cfg.merge_base)
     stage = initial_stage(data, cfg, opts)
     yield stage
-    keep = opts.needs_geometry
     for level in range(1, tr.n_stages + 1):
-        maps = stage_maps(cfg, tr, level, keep_geometry=keep)
+        maps = stage_maps(cfg, tr, level, opts)
         stage = combine_children(stage, maps, cfg, opts)
         yield stage
 

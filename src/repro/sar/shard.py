@@ -10,7 +10,7 @@ decomposition:
   ``n_stages - log_base(n_shards)`` merge levels only ever combine
   pulses *within* a contiguous block of ``n_pulses / n_shards`` pulses,
   so each chip runs them independently on its pulse block.  The stage
-  lookup maps (:func:`repro.sar.ffbp.stage_maps`) are parent-independent
+  gather tables (:func:`repro.sar.ffbp.stage_maps`) are parent-independent
   -- shape ``(n_children, parent_beams, n_ranges)`` with no per-parent
   axis -- and element combining is elementwise per parent, so a shard's
   stage array is exactly the corresponding slice of the serial stage
@@ -35,11 +35,17 @@ import numpy as np
 
 from repro.geometry.apertures import SubapertureTree
 from repro.sar.config import RadarConfig
-from repro.sar.ffbp import FfbpOptions, combine_children, stage_maps
+from repro.sar.ffbp import (
+    FfbpOptions,
+    combine_children,
+    stage_maps,
+    stage_theta_axis,
+)
 from repro.sar.grids import CartesianImage, PolarGrid, PolarImage
 from repro.sar.strip import StripFrame, StripProcessor, stitch_frames
 
 __all__ = [
+    "check_ffbp",
     "shard_boundary_level",
     "sharded_ffbp_array",
     "sharded_ffbp",
@@ -78,6 +84,30 @@ def shard_boundary_level(tree: SubapertureTree, n_shards: int) -> int:
     return tree.n_stages - k
 
 
+def check_ffbp(
+    cfg: RadarConfig,
+    n_shards: int = 1,
+    interpolation: str = "nearest",
+    phase_correction: bool = False,
+) -> None:
+    """Check that FFBP can form an image of ``cfg`` on ``n_shards`` chips.
+
+    Raises the kernels' own ``ValueError`` (naming the bound) when
+    :func:`sharded_ffbp` could not form the image: pulses not a power
+    of the merge base (:class:`SubapertureTree`), a stage window past
+    the sampling bound (:func:`~repro.sar.ffbp.stage_theta_axis` at
+    level 0, whose parallax margin is the widest, so it bounds every
+    level), a shard count that does not split the tree
+    (:func:`shard_boundary_level`), or an option combination
+    :class:`~repro.sar.ffbp.FfbpOptions` refuses.  Cheap: no merge
+    geometry is evaluated.
+    """
+    FfbpOptions(interpolation=interpolation, phase_correction=phase_correction)
+    tree = SubapertureTree(cfg.n_pulses, cfg.spacing, cfg.merge_base)
+    stage_theta_axis(cfg, tree, 0)
+    shard_boundary_level(tree, n_shards)
+
+
 def sharded_ffbp_array(
     data: np.ndarray,
     cfg: RadarConfig,
@@ -99,7 +129,6 @@ def sharded_ffbp_array(
         raise ValueError(
             f"data shape {data.shape} != ({cfg.n_pulses}, {cfg.n_ranges})"
         )
-    keep = opts.needs_geometry
     pulses_per_shard = cfg.n_pulses // n_shards
 
     # Phase 1: each shard runs levels 1..boundary on its pulse block,
@@ -112,7 +141,7 @@ def sharded_ffbp_array(
             opts.dtype
         )
         for level in range(1, boundary + 1):
-            maps = stage_maps(cfg, tr, level, keep_geometry=keep)
+            maps = stage_maps(cfg, tr, level, opts)
             stage = combine_children(stage, maps, cfg, opts)
         blocks.append(stage)
 
@@ -120,7 +149,7 @@ def sharded_ffbp_array(
     # then the cross-shard top levels.
     stage = blocks[0] if n_shards == 1 else np.concatenate(blocks, axis=0)
     for level in range(boundary + 1, tr.n_stages + 1):
-        maps = stage_maps(cfg, tr, level, keep_geometry=keep)
+        maps = stage_maps(cfg, tr, level, opts)
         stage = combine_children(stage, maps, cfg, opts)
     return stage
 

@@ -12,7 +12,12 @@ problem -- unparseable JSON, an oversized payload, an unknown request
 kind, a bad field, an unknown backend spec -- maps to a structured
 ``{"type": "error", "code": ..., "detail": ...}`` response and the
 connection stays usable for the next frame.  Only a truncated frame
-(the peer died mid-send) closes the connection.
+(the peer died mid-send) closes the connection.  A bad field includes
+an FFBP image or profile the kernels cannot form (the detail names the
+bound, from :func:`repro.sar.shard.check_ffbp`) and an option that
+would be a silent no-op: ``shards``/``interpolation``/
+``phase_correction`` with gbp or rda, ``phase_correction`` with a
+non-nearest interpolation.
 
 Request vocabulary (``kind`` field):
 
@@ -323,6 +328,31 @@ class ShutdownRequest:
 Request = ImageRequest | ProfileRequest | HealthRequest | ShutdownRequest
 
 
+def radar_config(pulses: int, ranges: int):
+    """The radar geometry an image or profile request of this size runs on."""
+    from repro.sar.config import RadarConfig
+
+    return RadarConfig.small(n_pulses=pulses, n_ranges=ranges)
+
+
+def _check_ffbp(
+    pulses: int,
+    ranges: int,
+    shards: int,
+    interpolation: str,
+    phase_correction: bool,
+) -> None:
+    """Refuse FFBP work the kernels could not do, naming the bound."""
+    from repro.sar.shard import check_ffbp
+
+    try:
+        check_ffbp(
+            radar_config(pulses, ranges), shards, interpolation, phase_correction
+        )
+    except ValueError as exc:
+        raise RequestError("bad-request", str(exc)) from exc
+
+
 def parse_request(obj: dict) -> Request:
     """Validate one decoded frame into a typed request.
 
@@ -343,23 +373,37 @@ def parse_request(obj: dict) -> Request:
         return ShutdownRequest(id=req_id)
     if kind == "image":
         pulses = _require_int(obj, "pulses", 64, 2, MAX_PULSES)
+        ranges = _require_int(obj, "ranges", 65, 3, MAX_RANGES)
         algorithm = _require_choice(obj, "algorithm", "ffbp", ALGORITHMS)
         shards = _require_int(obj, "shards", 1, 1, 64)
-        if shards > 1 and algorithm != "ffbp":
-            raise RequestError(
-                "bad-request",
-                f"'shards' applies to the ffbp algorithm, not {algorithm!r}",
-            )
+        interpolation = _require_choice(
+            obj, "interpolation", "nearest",
+            ("nearest", "bilinear", "cubic_range"),
+        )
+        phase_correction = bool(obj.get("phase_correction", False))
+        if algorithm == "ffbp":
+            _check_ffbp(pulses, ranges, shards, interpolation, phase_correction)
+        else:
+            # FFBP-only fields would be silent no-ops that still split
+            # the response cache; refuse them as the CLI does.
+            for name, value, default in (
+                ("shards", shards, 1),
+                ("interpolation", interpolation, "nearest"),
+                ("phase_correction", phase_correction, False),
+            ):
+                if value != default:
+                    raise RequestError(
+                        "bad-request",
+                        f"{name!r} applies to the ffbp algorithm, "
+                        f"not {algorithm!r}",
+                    )
         return ImageRequest(
             id=req_id,
             pulses=pulses,
-            ranges=_require_int(obj, "ranges", 65, 3, MAX_RANGES),
+            ranges=ranges,
             algorithm=algorithm,
-            interpolation=_require_choice(
-                obj, "interpolation", "nearest",
-                ("nearest", "bilinear", "cubic_range"),
-            ),
-            phase_correction=bool(obj.get("phase_correction", False)),
+            interpolation=interpolation,
+            phase_correction=phase_correction,
             shards=shards,
             noise_seed=_require_int(obj, "noise_seed", 1234, 0, 2**63 - 1),
             noise_sigma=_noise_sigma(obj),
@@ -388,12 +432,18 @@ def parse_request(obj: dict) -> Request:
                 "bad-request", "'fail_marker' must be a non-empty string"
             )
         fail_times = _require_int(obj, "fail_times", 1, 1, 16)
+    kernel = _require_choice(obj, "kernel", "ffbp", PROFILE_KERNELS)
+    pulses = _require_int(obj, "pulses", 64, 2, MAX_PULSES)
+    ranges = _require_int(obj, "ranges", 65, 3, MAX_RANGES)
+    if kernel == "ffbp":
+        # The cost plan walks the same merge tree as the image path.
+        _check_ffbp(pulses, ranges, 1, "nearest", False)
     return ProfileRequest(
         id=req_id,
         backend=backend,
-        kernel=_require_choice(obj, "kernel", "ffbp", PROFILE_KERNELS),
-        pulses=_require_int(obj, "pulses", 64, 2, MAX_PULSES),
-        ranges=_require_int(obj, "ranges", 65, 3, MAX_RANGES),
+        kernel=kernel,
+        pulses=pulses,
+        ranges=ranges,
         cores=_require_int(obj, "cores", 16, 1, 4096),
         watchdog=watchdog,
         deadline_ms=_deadline_ms(obj),

@@ -8,10 +8,14 @@ repeats byte-identically: the cache key digests the payload dict plus
 :func:`~repro.exec.cache.code_version`, so any source edit invalidates
 every cached response at once.
 
-The heavy geometry inside (FFBP merge index maps, gather stencils)
-flows through :mod:`repro.perf` memoisation, so concurrent tenants
-asking for the *same grid* but different scenes/seeds still share one
-build -- the serving counterpart of the sweep-time memo win.
+The heavy geometry inside (one FFBP gather table per merge stage and
+options, see :func:`repro.sar.ffbp.stage_maps`) flows through
+:mod:`repro.perf` memoisation, so concurrent tenants asking for the
+*same grid* but different scenes/seeds still share one build -- the
+serving counterpart of the sweep-time memo win.  An FFBP image request
+reaches :func:`form_image` only after
+:func:`repro.serve.protocol.parse_request` has refused the sizes, shard
+counts and options the kernels cannot answer.
 """
 
 from __future__ import annotations
@@ -20,20 +24,14 @@ import time
 from typing import Any, Callable
 
 from repro.faults.report import CONTAINED_FAILURES, StallError
-from repro.serve.protocol import encode_array
-
-
-def _radar_config(pulses: int, ranges: int):
-    from repro.sar.config import RadarConfig
-
-    return RadarConfig.small(n_pulses=pulses, n_ranges=ranges)
+from repro.serve.protocol import encode_array, radar_config
 
 
 def _simulate(payload: dict):
     from repro.eval.figures import default_scene
     from repro.sar.simulate import simulate_compressed
 
-    cfg = _radar_config(payload["pulses"], payload["ranges"])
+    cfg = radar_config(payload["pulses"], payload["ranges"])
     scene = default_scene(cfg)
     # A non-zero noise floor by default, so distinct noise_seed values
     # yield distinct scenes (the load harness's cache-miss workload).
@@ -178,7 +176,7 @@ def profile_kernel(payload: dict) -> dict:
             from repro.kernels.ffbp_common import plan_ffbp
             from repro.kernels.ffbp_spmd import run_ffbp_spmd
 
-            cfg = _radar_config(payload["pulses"], payload["ranges"])
+            cfg = radar_config(payload["pulses"], payload["ranges"])
             cores = min(int(payload.get("cores", 16)), machine.n_cores)
             res = run_ffbp_spmd(machine, plan_ffbp(cfg), cores)
         else:

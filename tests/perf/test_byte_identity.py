@@ -9,11 +9,13 @@ produced.  These tests compare the live paths against
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.geometry.apertures import SubapertureTree
-from repro.perf import clear_memo, memo_disabled
+from repro.perf import clear_memo, memo_disabled, memo_stats
 from repro.sar.config import RadarConfig
 from repro.sar.ffbp import FfbpOptions, ffbp, stage_maps
 from repro.signal.interpolation import cubic_neville, cubic_neville_rows
@@ -39,17 +41,36 @@ def _tree(cfg):
     return SubapertureTree(cfg.n_pulses, cfg.spacing, cfg.merge_base)
 
 
+STENCILS = {
+    "nearest": FfbpOptions(),
+    "phase": FfbpOptions(phase_correction=True),
+    "phase-c128": FfbpOptions(dtype=np.complex128, phase_correction=True),
+    "bilinear": FfbpOptions(interpolation="bilinear"),
+    "cubic_range": FfbpOptions(interpolation="cubic_range"),
+}
+
+
+def _arrays(maps):
+    """The populated fields of a gather table, by name."""
+    return {
+        f.name: getattr(maps, f.name)
+        for f in dataclasses.fields(maps)
+        if getattr(maps, f.name) is not None
+    }
+
+
 class TestStageMapsIdentity:
     def test_memo_equals_cold_every_stage(self, tiny_cfg):
         tree = _tree(tiny_cfg)
-        for level in range(1, tree.n_stages + 1):
-            hot = stage_maps(tiny_cfg, tree, level)
-            with memo_disabled():
-                cold = stage_maps(tiny_cfg, tree, level)
-            assert hot.beam_idx.tobytes() == cold.beam_idx.tobytes()
-            assert hot.range_idx.tobytes() == cold.range_idx.tobytes()
-            assert hot.valid.tobytes() == cold.valid.tobytes()
-            assert hot.residual_r.tobytes() == cold.residual_r.tobytes()
+        for options in STENCILS.values():
+            for level in range(1, tree.n_stages + 1):
+                hot = _arrays(stage_maps(tiny_cfg, tree, level, options))
+                with memo_disabled():
+                    cold = _arrays(stage_maps(tiny_cfg, tree, level, options))
+                assert hot.keys() == cold.keys()
+                for name, arr in hot.items():
+                    assert arr.dtype == cold[name].dtype, (options, name)
+                    assert arr.tobytes() == cold[name].tobytes(), (options, name)
 
     def test_memo_hit_is_same_object(self, tiny_cfg):
         tree = _tree(tiny_cfg)
@@ -60,12 +81,44 @@ class TestStageMapsIdentity:
         with pytest.raises(ValueError):
             maps.beam_idx[0, 0, 0] = 0
 
-    def test_keep_geometry_is_a_distinct_entry(self, tiny_cfg):
+    def test_memo_key_is_the_stencil(self, tiny_cfg):
+        """Options that gather through the same table share one entry:
+        the dtype splits only the ``phase`` table."""
         tree = _tree(tiny_cfg)
-        plain = stage_maps(tiny_cfg, tree, 1)
-        geom = stage_maps(tiny_cfg, tree, 1, keep_geometry=True)
-        assert plain.child_r is None
-        assert geom.child_r is not None
+
+        def maps(**kw):
+            return stage_maps(tiny_cfg, tree, 1, FfbpOptions(**kw))
+
+        assert maps() is maps(dtype=np.complex128)
+        assert maps() is not maps(interpolation="bilinear")
+        assert maps(phase_correction=True) is not maps(
+            phase_correction=True, dtype=np.complex128
+        )
+
+    @pytest.mark.parametrize(
+        "options", STENCILS.values(), ids=STENCILS.keys()
+    )
+    def test_image_run_leaves_one_table_per_stage(self, options):
+        """``ffbp`` at 128x129 leaves exactly one memo entry per merge
+        stage, and no float64 residual: the nearest tables hold only
+        indices and the mask, plus the working-dtype phase factors when
+        phase correction is on."""
+        cfg = RadarConfig.small(n_pulses=128, n_ranges=129)
+        data = np.ones((cfg.n_pulses, cfg.n_ranges), np.complex64)
+        tree = _tree(cfg)
+        clear_memo()
+        ffbp(data, cfg, options)
+        assert memo_stats()["entries"] == tree.n_stages == 7
+        if options.interpolation != "nearest":
+            return
+        for level in range(1, tree.n_stages + 1):
+            arrays = _arrays(stage_maps(cfg, tree, level, options))
+            phase = arrays.pop("phase", None)
+            assert (phase is not None) == options.phase_correction
+            if phase is not None:
+                assert phase.dtype == np.dtype(options.dtype)
+            assert not any(a.dtype.kind in "fc" for a in arrays.values())
+        assert memo_stats()["entries"] == 7
 
 
 class TestFfbpIdentity:
@@ -74,9 +127,10 @@ class TestFfbpIdentity:
         [
             FfbpOptions(),
             FfbpOptions(interpolation="bilinear"),
-            FfbpOptions(phase_correction=False),
+            FfbpOptions(phase_correction=True),
+            FfbpOptions(interpolation="cubic_range"),
         ],
-        ids=["nearest", "bilinear", "no-phase"],
+        ids=["nearest", "bilinear", "phase", "cubic_range"],
     )
     def test_image_memo_equals_cold(self, tiny_cfg, tiny_data, options):
         hot = ffbp(tiny_data, tiny_cfg, options)

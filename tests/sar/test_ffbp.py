@@ -29,6 +29,11 @@ class TestFfbpOptions:
         with pytest.raises(ValueError):
             FfbpOptions(interpolation="spline")
 
+    @pytest.mark.parametrize("interpolation", ["bilinear", "cubic_range"])
+    def test_phase_correction_needs_nearest(self, interpolation):
+        with pytest.raises(ValueError, match="phase_correction applies"):
+            FfbpOptions(interpolation=interpolation, phase_correction=True)
+
 
 class TestStageMaps:
     def test_shapes(self, small_cfg):
@@ -55,11 +60,36 @@ class TestStageMaps:
         maps = stage_maps(small_cfg, tree, 1)
         assert maps.valid.mean() > 0.95
 
-    def test_keep_geometry(self, small_cfg):
+    def test_stencil_fields_follow_options(self, small_cfg):
+        """Each stencil is present if and only if the options gather
+        with it; the nearest indices are always there."""
         tree = SubapertureTree(small_cfg.n_pulses, small_cfg.spacing)
-        maps = stage_maps(small_cfg, tree, 1, keep_geometry=True)
-        assert maps.child_r is not None
-        assert maps.child_r.shape == maps.beam_idx.shape
+        stencils = {
+            "phase": ("phase",),
+            "bilinear": ("bl_ib", "bl_ir", "bl_ib1", "bl_ir1", "bl_tb", "bl_tr"),
+            "cubic_range": ("cu_taps", "cu_w"),
+        }
+        for options, used in (
+            (None, ()),
+            (FfbpOptions(dtype=np.complex128), ()),
+            (FfbpOptions(phase_correction=True), ("phase",)),
+            (FfbpOptions(interpolation="bilinear"), ("bilinear",)),
+            (FfbpOptions(interpolation="cubic_range"), ("cubic_range",)),
+        ):
+            maps = stage_maps(small_cfg, tree, 1, options)
+            for field in ("beam_idx", "range_idx", "valid"):
+                assert getattr(maps, field).shape == (2, 2, small_cfg.n_ranges)
+            for stencil, fields in stencils.items():
+                for field in fields:
+                    present = getattr(maps, field) is not None
+                    assert present == (stencil in used), (options, field)
+        phase = stage_maps(small_cfg, tree, 1, FfbpOptions(phase_correction=True))
+        assert phase.phase.dtype == np.complex64
+        assert phase.phase.shape == phase.beam_idx.shape
+        cubic = stage_maps(
+            small_cfg, tree, 1, FfbpOptions(interpolation="cubic_range")
+        )
+        assert cubic.cu_taps.shape == cubic.beam_idx.shape + (4,)
 
     def test_base4_uses_exact_transform(self):
         cfg = RadarConfig.small(n_pulses=16).with_(merge_base=4)

@@ -174,6 +174,76 @@ class TestParseRequest:
         assert exc_info.value.code == "unknown-backend"
 
 
+class TestImageEnvelope:
+    """Image requests the kernels cannot answer, or would answer with a
+    silent no-op, are refused at decode time as ``bad-request``."""
+
+    @pytest.mark.parametrize(
+        "fields, bound",
+        [
+            ({"pulses": 100}, "not a power of merge_base=2"),
+            ({"pulses": 512, "ranges": 65}, "exceeds the sampling bound"),
+            ({"shards": 3}, "power of merge base 2"),
+            ({"shards": 8, "pulses": 4}, "8 shards need at least 8 pulses"),
+        ],
+        ids=["pulses-not-power", "sampling-bound", "shards-not-power", "too-many-shards"],
+    )
+    def test_unanswerable_ffbp_names_the_bound(self, fields, bound):
+        with pytest.raises(RequestError) as exc_info:
+            parse_request({"kind": "image", **fields})
+        assert exc_info.value.code == "bad-request"
+        assert bound in exc_info.value.detail
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"algorithm": "rda", "interpolation": "bilinear"},
+            {"algorithm": "gbp", "interpolation": "cubic_range"},
+            {"algorithm": "rda", "phase_correction": True},
+            {"algorithm": "gbp", "phase_correction": True},
+            {"interpolation": "bilinear", "phase_correction": True},
+            {"interpolation": "cubic_range", "phase_correction": True},
+        ],
+        ids=[
+            "rda-interpolation",
+            "gbp-interpolation",
+            "rda-phase",
+            "gbp-phase",
+            "bilinear-phase",
+            "cubic-phase",
+        ],
+    )
+    def test_silent_no_ops_are_refused(self, fields):
+        with pytest.raises(RequestError) as exc_info:
+            parse_request({"kind": "image", **fields})
+        assert exc_info.value.code == "bad-request"
+        bad = "interpolation" if "phase_correction" not in fields else "phase_correction"
+        assert bad in exc_info.value.detail
+
+    @pytest.mark.parametrize("pulses", [100, 512])
+    def test_unplannable_ffbp_profile_is_refused(self, pulses):
+        with pytest.raises(RequestError) as exc_info:
+            parse_request({"kind": "profile", "pulses": pulses})
+        assert exc_info.value.code == "bad-request"
+        assert parse_request(
+            {"kind": "profile", "kernel": "autofocus", "pulses": pulses}
+        ).pulses == pulses
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"pulses": 256},
+            {"pulses": 256, "shards": 4},
+            {"pulses": 64, "shards": 64},
+            {"phase_correction": True},
+            {"algorithm": "rda", "interpolation": "nearest", "phase_correction": False},
+        ],
+    )
+    def test_answerable_requests_still_parse(self, fields):
+        req = parse_request({"kind": "image", **fields})
+        assert isinstance(req, ImageRequest)
+
+
 class TestArrayTransport:
     def test_round_trip_complex(self):
         rng = np.random.default_rng(7)

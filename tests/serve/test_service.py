@@ -395,6 +395,21 @@ class TestContainment:
         assert err["type"] == "error"
         assert err["code"] == "bad-request"
 
+    def test_unanswerable_ffbp_is_bad_request_not_internal(self):
+        async def scenario(service):
+            bad, _ = await one_shot(service, {**IMG, "id": "b", "pulses": 100})
+            big, _ = await one_shot(
+                service, {**IMG, "id": "ok", "pulses": 256, "ranges": 17}
+            )
+            return bad, big
+
+        bad, big = service_test(scenario)
+        assert bad["type"] == "error"
+        assert bad["code"] == "bad-request"
+        assert "not a power of merge_base=2" in bad["detail"]
+        assert big["type"] == "result", big
+        assert decode_array(big["image"]).shape == (256, 17)
+
     def test_error_counters_accumulate(self):
         async def scenario(service):
             await one_shot(service, {"kind": "image", "id": "x", "pulses": 1})
