@@ -36,9 +36,9 @@ SEED = 20130821
 SECONDS = 10
 CEILING_FACTOR = 2.0
 BASELINE_P50_MS = {
-    "table1-event": 357.0,
+    "table1-event": 214.0,
     "sweep-analytic": 52.1,
-    "verify-quick": 694.0,
+    "verify-quick": 512.0,
 }
 WORKLOADS = [
     w["name"]

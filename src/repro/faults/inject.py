@@ -47,10 +47,9 @@ from repro.faults.plan import (
 )
 from repro.faults.report import FaultReport
 from repro.machine.api import Machine, MachineContext, Programs, RunResult
+from repro.machine.noc import Coord, xy_route
 
 __all__ = ["FaultEvent", "FaultyContext", "FaultyMachine"]
-
-Coord = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -72,20 +71,6 @@ class _FaultyDmaToken:
     corrupt: bool
     clause: str
     core: int
-
-
-def _xy_links(src: Coord, dst: Coord) -> Iterator[tuple[Coord, Coord]]:
-    """Directed links of the XY (columns-first) route -- the same
-    dimension order as :meth:`repro.machine.noc.Mesh.route`."""
-    r, c = src
-    while c != dst[1]:
-        step = 1 if dst[1] > c else -1
-        yield ((r, c), (r, c + step))
-        c += step
-    while r != dst[0]:
-        step = 1 if dst[0] > r else -1
-        yield ((r, c), (r + step, c))
-        r += step
 
 
 class FaultyContext:
@@ -348,9 +333,7 @@ class FaultyMachine:
         dropped = False
         for j, fault in self._link_faults:
             if route is None:
-                route = set(
-                    _xy_links(self._coord(src_core), self._coord(dst_core))
-                )
+                route = set(xy_route(self._coord(src_core), self._coord(dst_core)))
             if (fault.src, fault.dst) not in route:
                 continue
             idx = self._link_triggers[j]

@@ -186,12 +186,7 @@ class AnalyticContext:
         epoch bound), and the non-posted ablation pays word-granular
         read-like transactions.
         """
-        m = self.machine
-        hit = m._cyc.get(id(block))
-        if hit is None:
-            hit = (block, m._timing.compute_cycles(block))
-            m._cyc[id(block)] = hit
-        cycles = hit[1]
+        cycles = self.machine._timing.compute_cycles(block)
         rd = wr = 0.0
         stall = 0
         occ = 0.0
@@ -332,8 +327,6 @@ class AnalyticMachine:
         self._epoch_start = 0.0
         self._ext_bytes = 0.0
         self._noc_byte_hops = 0.0
-        # id -> (block, cycles): the kept reference pins the id.
-        self._cyc: dict[int, tuple[OpBlock, int]] = {}
         self._runnable: deque[int] | None = None
         self._parked = 0
         self._contexts = [

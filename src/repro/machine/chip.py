@@ -36,7 +36,8 @@ class EpiphanyContext(Context):
         self.local = LocalMemory(chip.spec)
         self.dma = DmaEngine(chip.engine, chip.spec, chip.ext, core_id)
         self.trace = Trace()
-        self._timing = CoreTimingModel(chip.spec)
+        self._timing = chip.timing
+        self._elink_hops = chip.mesh.hops(self.coord, chip.elink_node)
 
     @property
     def now(self) -> int:
@@ -50,40 +51,43 @@ class EpiphanyContext(Context):
 
     # -- compute + external memory --------------------------------------
     def work(self, block: OpBlock, mem: Iterable[MemOp] = ()) -> Iterator[Waitable]:
+        chip = self.chip
         cycles = self._timing.compute_cycles(block)
-        self.trace.add_ops(block)
-        self.trace.compute_cycles += cycles
-        self.chip.energy.add_busy(self.core_id, cycles)
+        trace = self.trace
+        trace.add_ops(block)
+        trace.compute_cycles += cycles
+        chip.energy.add_busy(self.core_id, cycles)
         self.local.touch(8.0 * (block.local_loads + block.local_stores))
         if cycles:
-            start = self.chip.engine.now
+            start = chip.engine.now
             yield delay(cycles)
             self._record("compute", start)
         for op in mem:
             if op.kind == "load":
-                yield from self._ext_read(op.nbytes)
+                stall = self._ext_read_stall(op.nbytes)
             else:
-                yield from self._ext_write(op.nbytes)
+                stall = self._ext_write_stall(op.nbytes)
+            if stall:
+                start = chip.engine.now
+                yield delay(stall)
+                self._record("mem", start)
 
-    def _ext_read(self, nbytes: float) -> Iterator[Waitable]:
+    def _ext_read_stall(self, nbytes: float) -> int:
+        """Account a blocking stream read issued now; return its stall."""
         chip = self.chip
+        now = chip.engine.now
         self.trace.ext_read_bytes += nbytes
         chip.energy.add_ext(nbytes)
         # Request travels the read plane to the e-link node; the reply
         # streams back.  The core stalls for the whole round trip.
-        res = chip.mesh.transfer(
-            chip.engine.now, self.coord, chip.elink_node, nbytes, "read"
-        )
+        res = chip.mesh.transfer(now, self.coord, chip.elink_node, nbytes, "read")
         finish = chip.ext.read_finish(res.finish_cycle, nbytes)
         chip.energy.add_noc(nbytes * res.hops)
-        stall = max(0, finish - chip.engine.now)
+        stall = max(0, finish - now)
         self.trace.stall_cycles += stall
         # A core stalled on a read is spinning, not clock-gated.
         chip.energy.add_busy(self.core_id, stall)
-        if stall:
-            start = chip.engine.now
-            yield delay(stall)
-            self._record("mem", start)
+        return stall
 
     def ext_scatter_read(self, n_accesses: int) -> Iterator[Waitable]:
         """Blocking word-granular gathers from external memory.
@@ -97,39 +101,38 @@ class EpiphanyContext(Context):
         if n_accesses <= 0:
             return
         chip = self.chip
+        now = chip.engine.now
         nbytes = 8.0 * n_accesses
         self.trace.ext_read_bytes += nbytes
         chip.energy.add_ext(nbytes)
-        hops = chip.mesh.hops(self.coord, chip.elink_node)
+        hops = self._elink_hops
         chip.energy.add_noc(nbytes * hops)
-        finish = chip.ext.scatter_read_finish(chip.engine.now, n_accesses)
+        finish = chip.ext.scatter_read_finish(now, n_accesses)
         # Word reads ride the read plane individually; charge the mesh
         # occupancy in aggregate rather than per word.
-        chip.mesh.transfer(chip.engine.now, self.coord, chip.elink_node, nbytes, "read")
-        stall = max(0, finish + hops - chip.engine.now)
+        chip.mesh.transfer(now, self.coord, chip.elink_node, nbytes, "read")
+        stall = max(0, finish + hops - now)
         self.trace.stall_cycles += stall
         chip.energy.add_busy(self.core_id, stall)
         if stall:
-            start = chip.engine.now
             yield delay(stall)
-            self._record("mem", start)
+            self._record("mem", now)
 
-    def _ext_write(self, nbytes: float) -> Iterator[Waitable]:
+    def _ext_write_stall(self, nbytes: float) -> int:
+        """Account a posted write issued now; return its stall."""
         chip = self.chip
+        now = chip.engine.now
         self.trace.ext_write_bytes += nbytes
         chip.energy.add_ext(nbytes)
         res = chip.mesh.transfer(
-            chip.engine.now, self.coord, chip.elink_node, nbytes, "off_chip_write"
+            now, self.coord, chip.elink_node, nbytes, "off_chip_write"
         )
         chip.energy.add_noc(nbytes * res.hops)
-        stall = chip.ext.write_stall(chip.engine.now, nbytes)
+        stall = chip.ext.write_stall(now, nbytes)
         # Posted write: only issue cost + backpressure reach the core.
         self.trace.stall_cycles += stall
-        self.chip.energy.add_busy(self.core_id, stall)
-        if stall:
-            start = chip.engine.now
-            yield delay(stall)
-            self._record("mem", start)
+        chip.energy.add_busy(self.core_id, stall)
+        return stall
 
     # -- on-chip communication ------------------------------------------
     def write_remote(self, dst_core: int, nbytes: float) -> Iterator[Waitable]:
@@ -183,16 +186,17 @@ class EpiphanyContext(Context):
 
     # -- DMA ---------------------------------------------------------------
     def dma_prefetch(self, nbytes: float) -> Flag:
-        self.trace.dma_transfers += 1
-        self.trace.ext_read_bytes += nbytes
+        trace = self.trace
+        trace.dma_transfers += 1
+        trace.ext_read_bytes += nbytes
         self.chip.energy.add_ext(nbytes)
-        hops = self.chip.mesh.hops(self.coord, self.chip.elink_node)
-        return self.dma.start_ext_read(nbytes, path_cycles=hops)
+        return self.dma.start_ext_read(nbytes, path_cycles=self._elink_hops)
 
     def dma_wait(self, token: Flag) -> Iterator[Waitable]:
-        before = self.chip.engine.now
+        engine = self.chip.engine
+        before = engine.now
         yield Wait(token)
-        self.trace.stall_cycles += self.chip.engine.now - before
+        self.trace.stall_cycles += engine.now - before
         self._record("dma", before)
 
     # -- synchronisation -----------------------------------------------------
@@ -221,6 +225,7 @@ class EpiphanyChip:
         self.ext = ExternalMemory(self.spec)
         self.energy = EnergyMeter(self.spec)
         self.elink_node = (0, self.spec.mesh_cols - 1)
+        self.timing = CoreTimingModel(self.spec)
         self.recorder = None  # optional ActivityRecorder
         self._contexts = [
             EpiphanyContext(self, i) for i in range(self.spec.n_cores)

@@ -16,6 +16,8 @@ from math import ceil
 
 from repro.machine.specs import EpiphanySpec
 
+_CYCLES_CACHE_MAX = 4096
+
 
 @dataclass(frozen=True)
 class OpBlock:
@@ -73,15 +75,19 @@ class OpBlock:
         )
 
     def __add__(self, other: "OpBlock") -> "OpBlock":
-        return OpBlock(
-            flops=self.flops + other.flops,
-            fmas=self.fmas + other.fmas,
-            sqrts=self.sqrts + other.sqrts,
-            specials=self.specials + other.specials,
-            int_ops=self.int_ops + other.int_ops,
-            local_loads=self.local_loads + other.local_loads,
-            local_stores=self.local_stores + other.local_stores,
-        )
+        # Sums of validated (non-negative) fields need no validation:
+        # fill the frozen instance directly, skipping ``__init__`` and
+        # ``__post_init__`` (every traced compute block lands here).
+        total = object.__new__(OpBlock)
+        d = total.__dict__
+        d["flops"] = self.flops + other.flops
+        d["fmas"] = self.fmas + other.fmas
+        d["sqrts"] = self.sqrts + other.sqrts
+        d["specials"] = self.specials + other.specials
+        d["int_ops"] = self.int_ops + other.int_ops
+        d["local_loads"] = self.local_loads + other.local_loads
+        d["local_stores"] = self.local_stores + other.local_stores
+        return total
 
     @property
     def total_flops(self) -> float:
@@ -95,6 +101,13 @@ class CoreTimingModel:
 
     spec: EpiphanySpec = field(default_factory=EpiphanySpec)
 
+    def __post_init__(self) -> None:
+        # id -> (block, cycles); the kept reference pins the id.  Kernels
+        # share their frozen row blocks, so a run prices each one once.
+        # Cleared at _CYCLES_CACHE_MAX entries, so a long-lived machine
+        # fed fresh blocks does not keep them all alive.
+        self._cycles: dict[int, tuple[OpBlock, int]] = {}
+
     def compute_cycles(self, block: OpBlock) -> int:
         """Issue cycles for a block under the dual-issue model.
 
@@ -104,6 +117,9 @@ class CoreTimingModel:
         ops and local load/stores.  The block takes the longer stream,
         divided by the sustained issue efficiency.
         """
+        hit = self._cycles.get(id(block))
+        if hit is not None:
+            return hit[1]
         s = self.spec
         if not s.fma_supported:
             # Without FMA each fused op splits into a multiply + add.
@@ -117,4 +133,8 @@ class CoreTimingModel:
             cycles = max(fpu_issues, ialu_issues)
         else:
             cycles = fpu_issues + ialu_issues
-        return ceil(cycles / s.issue_efficiency)
+        issue = ceil(cycles / s.issue_efficiency)
+        if len(self._cycles) >= _CYCLES_CACHE_MAX:
+            self._cycles.clear()
+        self._cycles[id(block)] = (block, issue)
+        return issue

@@ -15,6 +15,7 @@ the contributing subaperture data into the local banks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.machine.event import Engine, Flag, Waitable, delay
 from repro.machine.memory import ExternalMemory
@@ -34,6 +35,7 @@ class DmaEngine:
         self._busy_until = 0
         self.transfers = 0
         self.bytes_moved = 0.0
+        self._name = f"dma-core{self.core_id}"
 
     def start_ext_read(self, nbytes: float, path_cycles: int = 0) -> Flag:
         """Begin an external->local transfer; returns a completion flag.
@@ -44,23 +46,25 @@ class DmaEngine:
         """
         if nbytes < 0:
             raise ValueError("negative DMA size")
-        flag = self.engine.flag(name=f"dma{self.core_id}.{self.transfers}")
+        flag = Flag(self.engine, self._name)
         self.transfers += 1
         self.bytes_moved += nbytes
-
-        def _run() -> "Iterator[Waitable]":  # noqa: F821 - local generator
-            # The DMA engine itself serialises its own transfers.
-            start_gap = max(0, self._busy_until - self.engine.now)
-            if start_gap:
-                yield delay(start_gap)
-            finish = self.ext.read_finish(self.engine.now, nbytes)
-            # Engine moves a double word per cycle, so its own pump can
-            # also bound the rate.
-            pump = int(nbytes / self.spec.dma_bytes_per_cycle)
-            done = max(finish, self.engine.now + pump) + path_cycles
-            self._busy_until = done
-            yield delay(max(0, done - self.engine.now))
-            flag.set()
-
-        self.engine.spawn(_run(), name=f"dma-core{self.core_id}")
+        self.engine.spawn(self._run(flag, nbytes, path_cycles), self._name)
         return flag
+
+    def _run(self, flag: Flag, nbytes: float, path_cycles: int) -> Iterator[Waitable]:
+        engine = self.engine
+        now = engine.now
+        # The DMA engine itself serialises its own transfers.
+        start_gap = self._busy_until - now
+        if start_gap > 0:
+            yield delay(start_gap)
+            now = engine.now
+        finish = self.ext.read_finish(now, nbytes)
+        # Engine moves a double word per cycle, so its own pump can
+        # also bound the rate.
+        pump = int(nbytes / self.spec.dma_bytes_per_cycle)
+        done = max(finish, now + pump) + path_cycles
+        self._busy_until = done
+        yield delay(max(0, done - now))
+        flag.set()

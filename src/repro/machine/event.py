@@ -16,17 +16,30 @@ simulation is exactly reproducible.
 
 Fast path
 ---------
-The engine spends most of its time moving *same-cycle* events: flag
-wakeups, joins, spawns and zero-cycle delays all land at ``now``.
-Those go to a plain FIFO (:attr:`Engine._ready`) instead of the heap
--- appends happen at non-decreasing ``now`` with strictly increasing
-sequence numbers, so the FIFO is already sorted by ``(when, seq)`` and
-the run loop is a two-way merge of FIFO and heap.  Event *ordering* is
-decided by exactly the same ``(when, seq)`` keys as the pure-heap
-engine, so cycle counts, traces and profiles are bit-identical (the
-golden fingerprints in ``tests/golden/`` gate this).  Waitables are
-``slots=True`` dataclasses and small delays are interned via
-:func:`delay`, trimming per-event allocation on the hot paths.
+What a run simulates is fixed by the sequence of ``(when, seq)``
+schedule calls: every reservation on a shared resource (mesh links,
+the external channel, the DMA engines) happens when the process that
+makes it is stepped, and every float counter accumulates in that same
+order.  The host-side fast paths keep that sequence intact and only
+make each event cheaper:
+
+- Same-cycle events (flag wakeups, joins, spawns, zero-cycle delays)
+  go to a plain FIFO (:attr:`Engine._ready`) instead of the heap.
+  Appends happen at non-decreasing ``now`` with strictly increasing
+  sequence numbers, so the FIFO is already sorted by ``(when, seq)``
+  and the run loop is a two-way merge of FIFO and heap.
+- :meth:`Engine.run` steps the generator and schedules a yielded
+  :class:`Delay` -- most events -- inline; only the other waitables go
+  through :meth:`Engine._dispatch`.
+- Waitables are ``slots=True`` dataclasses, and small delays are
+  interned via :func:`delay`.
+
+Events are never elided (say, by folding a core's row into one step):
+removing one push shifts the ``seq`` of every later push, which can
+reorder same-cycle ties on a shared resource.  Cycle counts, traces
+and profiles are bit-identical to the plain heap engine; the golden
+fingerprints in ``tests/golden/`` and the engine's step counts in
+``tests/machine/test_chip.py`` gate this.
 """
 
 from __future__ import annotations
@@ -115,7 +128,7 @@ class Flag:
         self.is_set = True
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
-            self.engine._schedule(0, proc, None)
+            self.engine._schedule(0, proc)
 
     def clear(self) -> None:
         self.is_set = False
@@ -256,7 +269,7 @@ class Engine:
         """Register a generator as a process, starting at time ``now``."""
         proc = Process(self, body, name)
         self._live += 1
-        self._schedule(0, proc, None)
+        self._schedule(0, proc)
         return proc
 
     def cancel(self, proc: Process) -> None:
@@ -284,7 +297,7 @@ class Engine:
     # loop's two-way merge pops events in exactly the order the
     # pure-heap engine did.
 
-    def _schedule(self, delay: int, proc: Process, _value: Any) -> None:
+    def _schedule(self, delay: int, proc: Process) -> None:
         delay = int(delay)
         if delay == 0:
             self._ready.append((self.now, self._seq, proc))
@@ -300,40 +313,25 @@ class Engine:
             heapq.heappush(self._heap, (when, self._seq, proc))
         self._seq += 1
 
-    def _step(self, proc: Process) -> None:
-        try:
-            waitable = next(proc.body)
-        except StopIteration as stop:
-            proc.done = True
-            proc.result = stop.value
-            proc.finish_cycle = self.now
-            self._live -= 1
-            for joiner in proc._joiners:
-                self._schedule(0, joiner, None)
-            proc._joiners.clear()
-            return
-        self._dispatch(proc, waitable)
-
     def _dispatch(self, proc: Process, waitable: Waitable) -> None:
-        # ``type() is`` beats an isinstance chain on the hot path; the
-        # waitables are final slots-dataclasses, so exact-type checks
-        # are also complete.
+        """Schedule or park ``proc`` on a non-:class:`Delay` waitable
+        (the run loop handles ``Delay`` itself)."""
+        # ``type() is`` beats an isinstance chain; the waitables are
+        # final slots-dataclasses, so exact-type checks are complete.
         cls = type(waitable)
-        if cls is Delay:
-            self._schedule(waitable.cycles, proc, None)
-        elif cls is Acquire:
+        if cls is Acquire:
             finish = waitable.resource.request_finish_time(
                 waitable.amount, waitable.latency
             )
             self._schedule_at(finish, proc)
         elif cls is Wait:
             if waitable.flag.is_set:
-                self._schedule(0, proc, None)
+                self._schedule(0, proc)
             else:
                 waitable.flag._add_waiter(proc)
         elif cls is Join:
             if waitable.process.done:
-                self._schedule(0, proc, None)
+                self._schedule(0, proc)
             else:
                 waitable.process._joiners.append(proc)
         else:
@@ -350,6 +348,7 @@ class Engine:
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
+        heappush = heapq.heappush
         while heap or ready:
             # Two-way merge on (when, seq); seqs are unique so the
             # tuple comparison never reaches the Process element.
@@ -367,7 +366,32 @@ class Engine:
             if when < self.now:
                 raise SimulationError("time went backwards (engine bug)")
             self.now = when
-            self._step(proc)
+            try:
+                waitable = next(proc.body)
+            except StopIteration as stop:
+                proc.done = True
+                proc.result = stop.value
+                proc.finish_cycle = self.now
+                self._live -= 1
+                for joiner in proc._joiners:
+                    self._schedule(0, joiner)
+                proc._joiners.clear()
+                continue
+            if type(waitable) is not Delay:
+                self._dispatch(proc, waitable)
+                continue
+            # The Delay path is :meth:`_schedule` inlined: most events
+            # are delays.  The body may have scheduled others while it
+            # ran, so ``_seq`` is read after ``next``.
+            cycles = waitable.cycles
+            if type(cycles) is not int:
+                cycles = int(cycles)
+            seq = self._seq
+            if cycles == 0:
+                ready.append((self.now, seq, proc))
+            else:
+                heappush(heap, (self.now + cycles, seq, proc))
+            self._seq = seq + 1
         if self._live > 0:
             raise SimulationError(
                 f"deadlock: {self._live} process(es) blocked with no pending events"

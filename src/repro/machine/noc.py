@@ -19,13 +19,30 @@ congestion at the correlation block") is answered by simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.machine.specs import NocSpec
 
 Coord = tuple[int, int]
 
 
-@dataclass
+def xy_route(src: Coord, dst: Coord) -> list[tuple[Coord, Coord]]:
+    """Directed links of the XY dimension-ordered route: columns first,
+    then rows.  No bounds check (see :meth:`Mesh.route`)."""
+    path: list[tuple[Coord, Coord]] = []
+    r, c = src
+    while c != dst[1]:
+        step = 1 if dst[1] > c else -1
+        path.append(((r, c), (r, c + step)))
+        c += step
+    while r != dst[0]:
+        step = 1 if dst[0] > r else -1
+        path.append(((r, c), (r + step, c)))
+        r += step
+    return path
+
+
+@dataclass(slots=True)
 class _Link:
     """Directed link between adjacent routers on one plane."""
 
@@ -33,13 +50,16 @@ class _Link:
     bytes_moved: float = 0.0
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     """Outcome of one mesh transfer."""
 
     finish_cycle: int
     hops: int
     queue_cycles: int
+
+
+LinkState = tuple[tuple[tuple[str, Coord, Coord], float, float], ...]
+"""Every link's ``((plane, a, b), free_at, bytes_moved)``, sorted by key."""
 
 
 class Mesh:
@@ -52,6 +72,9 @@ class Mesh:
         self.cols = cols
         self.spec = spec or NocSpec()
         self._links: dict[tuple[str, Coord, Coord], _Link] = {}
+        # (plane, src, dst) -> the route's links, built on first use so
+        # ``_links`` holds exactly the links some message has crossed.
+        self._routes: dict[tuple[str, Coord, Coord], tuple[_Link, ...]] = {}
         self.total_byte_hops = 0.0
         self.messages = 0
 
@@ -60,17 +83,7 @@ class Mesh:
         """XY dimension-ordered route: columns first, then rows."""
         self._check(src)
         self._check(dst)
-        path: list[tuple[Coord, Coord]] = []
-        r, c = src
-        while c != dst[1]:
-            step = 1 if dst[1] > c else -1
-            path.append(((r, c), (r, c + step)))
-            c += step
-        while r != dst[0]:
-            step = 1 if dst[0] > r else -1
-            path.append(((r, c), (r + step, c)))
-            r += step
-        return path
+        return xy_route(src, dst)
 
     def hops(self, src: Coord, dst: Coord) -> int:
         """Manhattan distance (number of link traversals)."""
@@ -90,6 +103,29 @@ class Mesh:
             link = self._links[key] = _Link()
         return link
 
+    def _path(self, key: tuple[str, Coord, Coord]) -> tuple[_Link, ...]:
+        plane, src, dst = key
+        path = tuple(self._link(plane, a, b) for a, b in self.route(src, dst))
+        self._routes[key] = path
+        return path
+
+    # -- link state (replay snapshots) ------------------------------------
+    def link_state(self) -> LinkState:
+        """Every link's occupancy, by value."""
+        return tuple(
+            (key, link.free_at, link.bytes_moved)
+            for key, link in sorted(self._links.items())
+        )
+
+    def restore_link_state(self, state: LinkState) -> None:
+        """Set the links to ``state``; cached routes are rebuilt from the
+        restored links on their next use."""
+        self._routes.clear()
+        self._links = {
+            key: _Link(free_at=free_at, bytes_moved=bytes_moved)
+            for key, free_at, bytes_moved in state
+        }
+
     # -- traffic ----------------------------------------------------------
     def transfer(
         self, now: int, src: Coord, dst: Coord, nbytes: float, plane: str
@@ -104,22 +140,28 @@ class Mesh:
         """
         if nbytes < 0:
             raise ValueError("negative transfer size")
-        serial = nbytes / self.spec.link_bytes_per_cycle
-        t_head = float(now)
-        queue = 0.0
         if src == dst:
             return TransferResult(int(now), 0, 0)
-        for a, b in self.route(src, dst):
-            link = self._link(plane, a, b)
-            wait = max(0.0, link.free_at - t_head)
-            queue += wait
-            t_head = t_head + wait + self.spec.hop_cycles
+        key = (plane, src, dst)
+        path = self._routes.get(key) or self._path(key)
+        spec = self.spec
+        hop_cycles = spec.hop_cycles
+        serial = nbytes / spec.link_bytes_per_cycle
+        t_head = float(now)
+        queue = 0.0
+        for link in path:
+            wait = link.free_at - t_head
+            if wait > 0.0:
+                queue += wait
+                t_head = t_head + wait + hop_cycles
+            else:
+                t_head = t_head + hop_cycles
             link.free_at = t_head + serial
             link.bytes_moved += nbytes
-        finish = t_head + serial
-        self.total_byte_hops += nbytes * self.hops(src, dst)
+        hops = len(path)
+        self.total_byte_hops += nbytes * hops
         self.messages += 1
-        return TransferResult(int(round(finish)), self.hops(src, dst), int(round(queue)))
+        return TransferResult(int(round(t_head + serial)), hops, int(round(queue)))
 
     def link_utilization(self, now: int) -> dict[tuple[str, Coord, Coord], float]:
         """Per-link occupied fraction of elapsed time (for reports)."""

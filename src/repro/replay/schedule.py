@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
     from repro.machine.chip import EpiphanyChip
+    from repro.machine.noc import LinkState
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -91,7 +92,7 @@ class ChipState:
     seq: int
     live: int
     # mesh: sorted ((plane, src, dst), free_at, bytes_moved) per link
-    links: tuple[tuple[tuple[str, tuple[int, int], tuple[int, int]], float, float], ...]
+    links: LinkState
     mesh_byte_hops: float
     mesh_messages: int
     # external channel
@@ -158,10 +159,7 @@ def snapshot_chip(chip: "EpiphanyChip") -> ChipState:
         now=eng.now,
         seq=eng._seq,
         live=eng._live,
-        links=tuple(
-            (key, link.free_at, link.bytes_moved)
-            for key, link in sorted(mesh._links.items())
-        ),
+        links=mesh.link_state(),
         mesh_byte_hops=mesh.total_byte_hops,
         mesh_messages=mesh.messages,
         ext=(
@@ -198,16 +196,12 @@ def restore_chip(chip: "EpiphanyChip", state: ChipState) -> None:
     :class:`~repro.machine.api.RunResult` objects keep accumulating
     exactly as they would across cold runs.
     """
-    from repro.machine.noc import _Link
-
     eng = chip.engine
     eng.now = state.now
     eng._seq = state.seq
     eng._live = state.live
     mesh = chip.mesh
-    mesh._links.clear()
-    for key, free_at, bytes_moved in state.links:
-        mesh._links[key] = _Link(free_at=free_at, bytes_moved=bytes_moved)
+    mesh.restore_link_state(state.links)
     mesh.total_byte_hops = state.mesh_byte_hops
     mesh.messages = state.mesh_messages
     ext = chip.ext

@@ -427,5 +427,5 @@ def ffbp_with_autofocus(
             merged[0::2] = minus
             merged[1::2] = plus
             stage = merged
-        stage = combine_children(stage, maps, cfg, opts)
+        stage = combine_children(stage, maps, opts)
     return stage, results

@@ -342,7 +342,6 @@ def _build_stage_maps(
 def combine_children(
     children: np.ndarray,
     maps: StageMaps,
-    cfg: RadarConfig,
     options: FfbpOptions,
     beam_slice: slice = slice(None),
 ) -> np.ndarray:
@@ -501,7 +500,7 @@ def ffbp_stages(
     yield stage
     for level in range(1, tr.n_stages + 1):
         maps = stage_maps(cfg, tr, level, opts)
-        stage = combine_children(stage, maps, cfg, opts)
+        stage = combine_children(stage, maps, opts)
         yield stage
 
 

@@ -142,7 +142,7 @@ def sharded_ffbp_array(
         )
         for level in range(1, boundary + 1):
             maps = stage_maps(cfg, tr, level, opts)
-            stage = combine_children(stage, maps, cfg, opts)
+            stage = combine_children(stage, maps, opts)
         blocks.append(stage)
 
     # Phase 2: deterministic merge (shard order == subaperture order),
@@ -150,7 +150,7 @@ def sharded_ffbp_array(
     stage = blocks[0] if n_shards == 1 else np.concatenate(blocks, axis=0)
     for level in range(boundary + 1, tr.n_stages + 1):
         maps = stage_maps(cfg, tr, level, opts)
-        stage = combine_children(stage, maps, cfg, opts)
+        stage = combine_children(stage, maps, opts)
     return stage
 
 

@@ -214,6 +214,17 @@ def _require_choice(obj: dict, name: str, default: str, choices: tuple) -> str:
     return value
 
 
+def _require_bool(obj: dict, name: str) -> bool:
+    """A JSON ``true``/``false`` field (absent means false); strings and
+    numbers are refused rather than read by truthiness."""
+    value = obj.get(name, False)
+    if not isinstance(value, bool):
+        raise RequestError(
+            "bad-request", f"{name!r} must be true or false, got {value!r}"
+        )
+    return value
+
+
 def _noise_sigma(obj: dict) -> float:
     value = obj.get("noise_sigma", 0.05)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -380,7 +391,7 @@ def parse_request(obj: dict) -> Request:
             obj, "interpolation", "nearest",
             ("nearest", "bilinear", "cubic_range"),
         )
-        phase_correction = bool(obj.get("phase_correction", False))
+        phase_correction = _require_bool(obj, "phase_correction")
         if algorithm == "ffbp":
             _check_ffbp(pulses, ranges, shards, interpolation, phase_correction)
         else:
@@ -407,8 +418,8 @@ def parse_request(obj: dict) -> Request:
             shards=shards,
             noise_seed=_require_int(obj, "noise_seed", 1234, 0, 2**63 - 1),
             noise_sigma=_noise_sigma(obj),
-            stream=bool(obj.get("stream", False)),
-            stream_data=bool(obj.get("stream_data", False)),
+            stream=_require_bool(obj, "stream"),
+            stream_data=_require_bool(obj, "stream_data"),
             deadline_ms=_deadline_ms(obj),
         )
     # profile

@@ -1,7 +1,11 @@
 """Tests for the assembled Epiphany chip and its core contexts."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.machine.backends import get_machine
 from repro.machine.chip import EpiphanyChip
 from repro.machine.context import load, store
 from repro.machine.core import OpBlock
@@ -223,3 +227,45 @@ class TestEnergyAccounting:
         b = EpiphanyChip(spec).run({0: prog})
         assert a.cycles == b.cycles
         assert b.seconds == pytest.approx(2.5 * a.seconds)
+
+
+class TestPaperScaleEvents:
+    """The paper-scale Table-I rows on ``event:e16`` pin the event
+    sequence itself: the engine's schedule count and every simulated
+    counter of ``perfbench/golden.json``.  A host-side optimisation of
+    the engine, mesh, DMA or core model must leave both unchanged."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parents[2] / "perfbench" / "golden.json").read_text()
+    )
+
+    @staticmethod
+    def _fingerprint(machine, result) -> dict:
+        trace = result.trace
+        return {
+            "cycles": int(result.cycles),
+            "energy_j": float(result.energy_joules),
+            "noc_messages": int(machine.mesh.messages),
+            "dma_transfers": int(trace.dma_transfers),
+            "ext_bytes": float(trace.total_ext_bytes),
+            "stall_cycles": float(trace.stall_cycles),
+        }
+
+    def test_ffbp_spmd16(self):
+        from repro.kernels.ffbp_common import plan_ffbp
+        from repro.kernels.ffbp_spmd import run_ffbp_spmd
+        from repro.sar.config import RadarConfig
+
+        machine = get_machine("event:e16")
+        result = run_ffbp_spmd(machine, plan_ffbp(RadarConfig.paper()), 16)
+        assert self._fingerprint(machine, result) == self.GOLDEN["ffbp_spmd16"]
+        assert machine.engine._seq == 55_622
+
+    def test_autofocus_mpmd(self):
+        from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
+        from repro.kernels.opcounts import AutofocusWorkload
+
+        machine = get_machine("event:e16")
+        result = run_autofocus_mpmd(machine, AutofocusWorkload())
+        assert self._fingerprint(machine, result) == self.GOLDEN["autofocus_mpmd"]
+        assert machine.engine._seq == 42_785

@@ -13,6 +13,7 @@ import pytest
 from repro.machine.backends import get_machine
 from repro.perf import clear_memo, memo_disabled
 from repro.replay.machine import ReplayMachine
+from repro.replay.schedule import snapshot_chip
 
 
 @pytest.fixture(autouse=True)
@@ -147,6 +148,33 @@ class TestByteIdentity:
         # A recorder-less capture must not satisfy a recorder-full run.
         assert m2.stats()["captures"] == 1
         assert m2.stats()["replays"] == 0
+
+
+    def test_cold_hit_cold_matches_event(self):
+        # A hit restores the mesh links; the cold run after it must
+        # reserve those restored links, not the ones the mesh's route
+        # cache held before the restore.
+        small, large = (32, 33), (64, 65)
+        warm = get_machine("replay(event:e16)")
+        with memo_disabled():
+            _spmd_run(warm, *small)  # not captured
+        _spmd_run(warm, *large)  # captured on the small run's post-state
+        assert warm.stats()["captures"] == 1
+
+        def sequence(machine, chip):
+            out = []
+            for size in (small, large, small):
+                res = _spmd_run(machine, *size)
+                out.append((res.cycles, res.energy_joules, snapshot_chip(chip).links))
+            return out
+
+        plain = get_machine("event:e16")
+        want = sequence(plain, plain)
+        m = get_machine("replay(event:e16)")
+        got = sequence(m, m.inner)
+        assert m.stats()["captures"] == 2
+        assert m.stats()["replays"] == 1
+        assert got == want
 
 
 class TestFallbacks:

@@ -108,7 +108,7 @@ class TestCombineChildren:
             + 1j * rng.standard_normal((small_cfg.n_pulses, 1, small_cfg.n_ranges))
         ).astype(np.complex64)
         maps = stage_maps(small_cfg, tree, 1)
-        out = combine_children(children, maps, small_cfg, opts)
+        out = combine_children(children, maps, opts)
         assert out.shape == (small_cfg.n_pulses // 2, 2, small_cfg.n_ranges)
         # Manual check for one sample.
         k, j = 1, small_cfg.n_ranges // 2
@@ -126,9 +126,9 @@ class TestCombineChildren:
             (small_cfg.n_pulses, 1, small_cfg.n_ranges)
         ).astype(np.complex64)
         maps = stage_maps(small_cfg, tree, 1)
-        full = combine_children(children, maps, small_cfg, opts)
+        full = combine_children(children, maps, opts)
         part = combine_children(
-            children, maps, small_cfg, opts, beam_slice=slice(1, 2)
+            children, maps, opts, beam_slice=slice(1, 2)
         )
         assert np.array_equal(part, full[:, 1:2])
 
@@ -137,7 +137,7 @@ class TestCombineChildren:
         maps = stage_maps(small_cfg, tree, 1)
         bad = np.zeros((5, 1, small_cfg.n_ranges), dtype=np.complex64)
         with pytest.raises(ValueError):
-            combine_children(bad, maps, small_cfg, FfbpOptions())
+            combine_children(bad, maps, FfbpOptions())
 
 
 class TestFfbpPipeline:

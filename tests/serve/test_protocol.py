@@ -168,6 +168,23 @@ class TestParseRequest:
             parse_request(obj)
         assert exc_info.value.code == "bad-request"
 
+    @pytest.mark.parametrize("name", ["phase_correction", "stream", "stream_data"])
+    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1, None, []])
+    def test_flags_accept_only_json_booleans(self, name, value):
+        """A string "false" must not read as True by truthiness (nor
+        open its own cache entry): anything but true/false is refused,
+        naming the field."""
+        with pytest.raises(RequestError) as exc_info:
+            parse_request({"kind": "image", name: value})
+        assert exc_info.value.code == "bad-request"
+        assert repr(name) in str(exc_info.value)
+
+    @pytest.mark.parametrize("name", ["phase_correction", "stream", "stream_data"])
+    def test_flags_read_json_booleans(self, name):
+        assert getattr(parse_request({"kind": "image", name: True}), name) is True
+        assert getattr(parse_request({"kind": "image", name: False}), name) is False
+        assert getattr(parse_request({"kind": "image"}), name) is False
+
     def test_unknown_backend_has_its_own_code(self):
         with pytest.raises(RequestError) as exc_info:
             parse_request({"kind": "profile", "backend": "quantum:q9000"})
