@@ -333,7 +333,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         breaker_window=args.breaker_window,
         breaker_failures=args.breaker_failures,
         breaker_cooldown=args.breaker_cooldown,
-        group_jobs=args.group_jobs,
         allow_chaos=args.allow_chaos,
     )
 
@@ -342,7 +341,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await service.start()
         print(
             f"serve: listening on {settings.host}:{service.port} "
-            f"({settings.workers} workers, "
+            f"({settings.workers}-process pool, "
             f"{settings.batch_window_ms:g} ms batch window)",
             file=sys.stderr,
             flush=True,
@@ -657,9 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=2,
+        default=1,
         metavar="N",
-        help="worker threads executing request batches (default: %(default)s)",
+        help="worker processes computing cache misses (default: %(default)s)",
     )
     p.add_argument(
         "--batch-window-ms",
@@ -754,18 +753,10 @@ def build_parser() -> argparse.ArgumentParser:
         "real backend again (default: %(default)s)",
     )
     p.add_argument(
-        "--group-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="process-pool width for request groups; 1 executes inline "
-        "in the worker thread (default: %(default)s)",
-    )
-    p.add_argument(
         "--allow-chaos",
         action="store_true",
         help="accept fail_marker chaos requests that SIGKILL pool "
-        "workers (requires --group-jobs >= 2; test/CI only)",
+        "workers (test/CI only)",
     )
     p.set_defaults(fn=cmd_serve)
 
@@ -789,8 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=2,
-        help="worker threads of the --spawn service (default: %(default)s)",
+        default=1,
+        help="worker processes of the --spawn service (default: %(default)s)",
     )
     p.add_argument("--clients", type=int, default=2, metavar="N")
     p.add_argument("--requests", type=int, default=8, metavar="M",

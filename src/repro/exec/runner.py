@@ -24,9 +24,8 @@ child* with its traceback and surfaced as a structured
 (segfault, ``os._exit``) fails with kind ``"broken-pool"`` instead of
 leaking :class:`~concurrent.futures.process.BrokenProcessPool`.  Each
 task runs exactly once; every :meth:`ExperimentRunner.run` starts on a
-fresh pool, so a caller that wants to retry (the serving tier's
-seeded :class:`~repro.serve.resilience.RetryPolicy`) simply runs the
-failed task again.
+fresh pool, so a caller that wants to retry simply runs the failed
+task again.
 
 Task functions must be picklable (module-level) for ``jobs > 1``; on
 POSIX the default fork start method also carries dynamically
@@ -51,6 +50,7 @@ __all__ = [
     "TaskFailure",
     "ExecStats",
     "ExperimentRunner",
+    "invoke",
 ]
 
 
@@ -140,8 +140,7 @@ class ExecStats:
     cache_misses: int = 0
     pool_rebuilds: int = 0
     """Worker pools that died mid-run (the next run starts on a fresh
-    pool; serving self-healing reads this to report pool churn in
-    ``health``)."""
+    pool)."""
     wall_seconds: float = 0.0
 
     def format(self) -> str:
@@ -157,7 +156,7 @@ class ExecStats:
         )
 
 
-def _invoke(fn: Callable[..., Any], args: tuple, kwargs: dict) -> tuple:
+def invoke(fn: Callable[..., Any], args: tuple, kwargs: dict) -> tuple:
     """Run one task, capturing failures *with traceback*.
 
     Runs in the worker (or inline for serial runs).  Returns
@@ -345,7 +344,7 @@ class ExperimentRunner:
     def _record_outcome(
         self, prepared: _Prepared, outcome: tuple, results: dict[str, TaskResult]
     ) -> None:
-        """File one :func:`_invoke` outcome as a success or an error."""
+        """File one :func:`invoke` outcome as a success or an error."""
         status, payload, seconds = outcome
         if status == "ok":
             self._record_success(prepared, payload, seconds, results)
@@ -357,7 +356,7 @@ class ExperimentRunner:
         self, pending: list[_Prepared], results: dict[str, TaskResult]
     ) -> None:
         for prepared in pending:
-            outcome = _invoke(prepared.task.fn, prepared.task.args, prepared.kwargs)
+            outcome = invoke(prepared.task.fn, prepared.task.args, prepared.kwargs)
             self._record_outcome(prepared, outcome, results)
 
     def _run_parallel(
@@ -370,7 +369,7 @@ class ExperimentRunner:
             return
         pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(pending)))
         futures = [
-            pool.submit(_invoke, p.task.fn, p.task.args, p.kwargs)
+            pool.submit(invoke, p.task.fn, p.task.args, p.kwargs)
             for p in pending
         ]
         broken = False

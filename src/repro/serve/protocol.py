@@ -17,7 +17,8 @@ an FFBP image or profile the kernels cannot form (the detail names the
 bound, from :func:`repro.sar.shard.check_ffbp`) and an option that
 would be a silent no-op: ``shards``/``interpolation``/
 ``phase_correction`` with gbp or rda, ``phase_correction`` with a
-non-nearest interpolation.
+non-nearest interpolation.  An image whose result could not fit in a
+frame is refused ``oversized`` (:func:`result_frame_bound`).
 
 Request vocabulary (``kind`` field):
 
@@ -27,8 +28,8 @@ Request vocabulary (``kind`` field):
 - ``profile``  run a kernel timing model on a registry backend spec
   and return cycles/energy (watchdog-guarded; a stall comes back as a
   structured error with its blame report),
-- ``health``   server status: uptime, counters, response-cache and
-  geometry-memo stats, contained-fault history,
+- ``health``   server status: uptime, counters, response-cache
+  stats, contained-fault history,
 - ``shutdown`` ask the server to drain and exit cleanly.
 
 Image payloads travel as base64 of the raw array bytes plus dtype,
@@ -76,6 +77,9 @@ ALGORITHMS = ("ffbp", "gbp", "rda")
 PROFILE_KERNELS = ("ffbp", "autofocus")
 MAX_PULSES = 4096
 MAX_RANGES = 8192
+IMAGE_DTYPES = {"ffbp": "complex64", "gbp": "complex128", "rda": "complex128"}
+"""dtype of the pulses x ranges image that
+:func:`repro.serve.workers.form_image` returns."""
 
 
 class ProtocolError(Exception):
@@ -364,12 +368,28 @@ def _check_ffbp(
         raise RequestError("bad-request", str(exc)) from exc
 
 
-def parse_request(obj: dict) -> Request:
+def result_frame_bound(req_id: Any, algorithm: str, pulses: int, ranges: int) -> int:
+    """Upper bound on the body bytes of an image request's ``result``
+    frame: exact for the image and every fixed key, with the timings
+    and ``retries`` (unknown before the compute) at their widest."""
+    dtype = np.dtype(IMAGE_DTYPES[algorithm])
+    widest = -2.2250738585072014e-308  # the longest float repr
+    image = {"data_b64": "", "dtype": dtype.name, "sha256": "0" * 64,
+             "shape": [pulses, ranges]}
+    header = {"algorithm": algorithm, "cached": False, "compute_ms": widest,
+              "elapsed_ms": widest, "id": req_id, "image": image,
+              "retries": -(2**63), "type": "result"}
+    raw = pulses * ranges * dtype.itemsize
+    return len(json.dumps(header, separators=(",", ":"))) + 4 * ((raw + 2) // 3)
+
+
+def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
     """Validate one decoded frame into a typed request.
 
-    Raises :class:`RequestError` (code ``bad-request`` or
-    ``unknown-backend``) on anything off-contract; the caller answers
-    with a structured error and keeps the connection.
+    Raises :class:`RequestError` (code ``bad-request``,
+    ``unknown-backend``, or ``oversized`` for an image whose result
+    frame could exceed ``max_frame_bytes``) on anything off-contract;
+    the caller answers with a structured error and keeps the connection.
     """
     req_id = obj.get("id")
     kind = obj.get("kind")
@@ -408,6 +428,13 @@ def parse_request(obj: dict) -> Request:
                         f"{name!r} applies to the ffbp algorithm, "
                         f"not {algorithm!r}",
                     )
+        bound = result_frame_bound(req_id, algorithm, pulses, ranges)
+        if bound > max_frame_bytes:
+            raise RequestError(
+                "oversized",
+                f"result frame of up to {bound} bytes would exceed the "
+                f"{max_frame_bytes}-byte limit",
+            )
         return ImageRequest(
             id=req_id,
             pulses=pulses,

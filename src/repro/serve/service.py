@@ -6,8 +6,8 @@ answer it produces comes from the layers below --
 
 - **workers** (:mod:`repro.serve.workers`): pure, picklable task
   functions over the ``sar``/``kernels`` stacks,
-- **execution** (:mod:`repro.exec`): each batch runs through an
-  :class:`~repro.exec.runner.ExperimentRunner`, and a
+- **execution** (:mod:`repro.exec`): each miss runs through
+  :func:`~repro.exec.runner.invoke` on one process pool, and a
   :class:`~repro.exec.cache.ResultCache` is the content-addressed
   *response cache* -- a repeated identical request is served from
   disk, byte-identical, ``code_version()``-invalidated, and the hit is
@@ -21,7 +21,7 @@ answer it produces comes from the layers below --
   control bounds in-flight work (structured ``overloaded`` + retry
   hint instead of queue growth), contained faults and broken pools are
   retried with seeded deterministic backoff (the only retry loop in
-  the stack: the runner below runs each task once), and a
+  the stack: the pool runs each task once), and a
   per-backend-spec circuit breaker degrades profile requests one rung
   down the ladder (``event:*`` onto byte-identical
   ``replay(event:*)``, then ``analytic:*``) when the real backend
@@ -31,18 +31,18 @@ Scheduling: every request first looks up the response cache, once
 per attempt, on the event loop; a hit is answered there and then,
 ahead of the batch window and the worker pool.  Only misses land on
 the queue; a batcher drains it, waits ``batch_window_ms`` for
-compatible company, groups by cache payload (identical misses in one
-window *coalesce* onto a single compute) and dispatches each group to
-a worker-thread pool, which stores each computed value in the cache.
-The ``batches`` and ``coalesced`` counters therefore count only groups
-of misses.  Per-request deadlines convert to structured ``deadline``
-error responses -- a slow request can never hang its connection.
-With ``group_jobs >= 2`` each group fans out over a *process* pool
-whose death is contained (``broken-pool`` failures, retried on a fresh
-pool by the serve-level retry) -- one poisoned request cannot take
-down its batch window.  ``close()`` drains: queued and in-flight
-requests get their terminal response before the listener and pools
-go away.
+company, groups the window by cache payload (identical misses
+*coalesce* onto a single compute) and submits each payload to the one
+process pool created with the service; the loop stores each computed
+value in the cache.  The ``batches`` and ``coalesced`` counters
+therefore count only windows of misses.  Per-request deadlines convert
+to structured ``deadline`` error responses -- a slow request can never
+hang its connection.  A worker death is contained (``broken-pool``
+failures, retried on the pool rebuilt once per break by the
+serve-level retry) -- one poisoned request cannot take down its batch
+window.  Streamed FFBP runs on a thread: its per-level callback cannot
+cross a process.  ``close()`` drains: queued and in-flight requests
+get their terminal response before the listener and the pool go away.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.exec.cache import ResultCache, code_version, stable_digest
-from repro.exec.runner import ExperimentRunner, TaskSpec
+from repro.exec.runner import TaskFailure, invoke
 from repro.faults.report import CONTAINED_CODES
 from repro.serve import protocol, workers
 from repro.serve.protocol import (
@@ -86,12 +86,13 @@ class ServeSettings:
 
     ``max_retries`` (with ``retry_backoff_ms`` and ``resilience_seed``)
     is the one retry budget: the serve layer retries a whole request,
-    and the :class:`~repro.exec.runner.ExperimentRunner` under each
-    group runs every task once."""
+    and the process pool runs every task once."""
 
     host: str = "127.0.0.1"
     port: int = 0
-    workers: int = 2
+    workers: int = 1
+    """Width of the one process pool that computes every batched miss;
+    one worker leaves a core of a 2-core host to the event loop."""
     batch_window_ms: float = 5.0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     cache_dir: str | None = None
@@ -117,17 +118,11 @@ class ServeSettings:
     disables degradation entirely."""
     breaker_cooldown: int = 4
     """Degraded requests served per open period before a probe."""
-    group_jobs: int = 1
-    """``ExperimentRunner`` jobs per batch group; ``1`` runs inline
-    (serial, no pool), ``>= 2`` fans out over worker processes whose
-    crashes are contained as ``broken-pool`` failures (healed by the
-    ``max_retries`` retry on a fresh pool)."""
     resilience_seed: int = DEFAULT_RESILIENCE_SEED
     """Root seed of the deterministic retry jitter."""
     allow_chaos: bool = False
     """Accept ``fail_marker`` chaos requests (worker suicide hooks);
-    requires ``group_jobs >= 2`` so the kill hits a pool process, not
-    the server."""
+    the kill hits a pool process, not the server."""
     window_s: float = 60.0
     """Horizon of the rolling rate window in ``health``."""
 
@@ -167,15 +162,6 @@ class ServeSettings:
             raise ValueError(
                 f"breaker_failures ({self.breaker_failures}) cannot exceed "
                 f"breaker_window ({self.breaker_window})"
-            )
-        if self.group_jobs < 1:
-            raise ValueError(
-                f"group_jobs must be >= 1, got {self.group_jobs}"
-            )
-        if self.allow_chaos and self.group_jobs < 2:
-            raise ValueError(
-                "allow_chaos requires group_jobs >= 2: a fail_marker kill "
-                "in an inline (jobs=1) group would take the server down"
             )
         if self.window_s <= 0:
             raise ValueError(
@@ -230,10 +216,7 @@ class ImageService:
         self._group_tasks: set[asyncio.Task] = set()
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._writers: set = set()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.settings.workers,
-            thread_name_prefix="repro-serve",
-        )
+        self._pool = self._new_pool()
         self._tmpdir = None
         if self.settings.no_cache:
             self._cache: ResultCache | None = None
@@ -291,12 +274,12 @@ class ImageService:
 
         Order matters: mark closing (admission rejects new work with a
         structured "draining" answer), stop listening, stop the
-        batcher, flush whatever it left on the queue into groups, then
+        batcher, flush whatever it left on the queue as a group, then
         settle dispatch/group tasks to quiescence -- a draining retry
         re-enters through :meth:`_enqueue`, which runs it as its own
         group once the batcher is gone, so no future is ever orphaned.
         Only then close lingering idle connections (their handlers are
-        parked in ``read_frame``) and the pools.
+        parked in ``read_frame``) and the pool.
         """
         self._closing = True
         self._shutdown.set()
@@ -313,8 +296,8 @@ class ImageService:
             leftovers = []
             while not self._queue.empty():
                 leftovers.append(self._queue.get_nowait())
-            for group in self._group(leftovers):
-                self._spawn_group(group)
+            if leftovers:
+                self._spawn_group(leftovers)
             tasks = [
                 t
                 for t in (*self._dispatch_tasks, *self._group_tasks)
@@ -365,7 +348,9 @@ class ImageService:
                 if frame is None:
                     break
                 try:
-                    request = protocol.parse_request(frame)
+                    request = protocol.parse_request(
+                        frame, self.settings.max_frame_bytes
+                    )
                 except RequestError as exc:
                     self._mark_error()
                     await send(
@@ -395,7 +380,7 @@ class ImageService:
                             request.id,
                             "bad-request",
                             "'fail_marker' requires a server started with "
-                            "allow_chaos (and group_jobs >= 2)",
+                            "allow_chaos",
                         )
                     )
                     continue
@@ -668,9 +653,9 @@ class ImageService:
                 # the diagnosis structured.
                 retryable = err.get("code") in CONTAINED_CODES
             else:
-                # Runner-level failure: a broken pool is retryable (the
-                # next run gets a fresh pool and the work is uncached);
-                # a task error is terminal.
+                # Pool-level failure: a broken pool is retryable (the
+                # pool is rebuilt and the work is uncached); a task
+                # error is terminal.
                 _, fkind, ftext = outcome
                 retryable = fkind == "broken-pool"
             delay = self._retry_delay_s(
@@ -736,7 +721,7 @@ class ImageService:
                 loop.call_soon_threadsafe(frames.put_nowait, _DONE)
 
         t0 = time.perf_counter()
-        job = loop.run_in_executor(self._pool, run)
+        job = loop.run_in_executor(None, run)
         deadline = self._deadline_of(request)
 
         async def forward() -> dict:
@@ -776,7 +761,7 @@ class ImageService:
     # -- batching ---------------------------------------------------------
 
     async def _batch_loop(self) -> None:
-        """Drain the queue, gather a window, dispatch groups."""
+        """Drain the queue, gather a window, dispatch it as one group."""
         loop = asyncio.get_running_loop()
         window = self.settings.batch_window_ms / 1e3
         while True:
@@ -792,34 +777,14 @@ class ImageService:
                     )
                 except asyncio.TimeoutError:
                     break
-            for group in self._group(batch):
-                self._spawn_group(group)
+            self._spawn_group(batch)
 
     def _spawn_group(self, group: list[_Pending]) -> None:
         task = asyncio.create_task(self._run_group(group))
         self._group_tasks.add(task)
         task.add_done_callback(self._group_tasks.discard)
 
-    @staticmethod
-    def _group(batch: list[_Pending]) -> list[list[_Pending]]:
-        """Split a window's requests into per-backend-compatible groups.
-
-        Image requests batch together; profile requests batch per
-        backend spec (they share a machine build and, on the event
-        backend, interleave poorly with host-numpy work).
-        """
-        groups: dict[tuple, list[_Pending]] = {}
-        for pending in batch:
-            req = pending.request
-            if isinstance(req, ProfileRequest):
-                key = ("profile", req.backend)
-            else:
-                key = ("image",)
-            groups.setdefault(key, []).append(pending)
-        return list(groups.values())
-
     async def _run_group(self, group: list[_Pending]) -> None:
-        loop = asyncio.get_running_loop()
         self.stats.batches += 1
         # Coalesce identical payloads: one compute, fanned out to all.
         unique: dict[str, list[_Pending]] = {}
@@ -830,12 +795,8 @@ class ImageService:
         self.stats.coalesced += len(group) - len(unique)
         order = list(unique.items())
         try:
-            outcomes, rebuilds = await loop.run_in_executor(
-                self._pool,
-                _execute_group,
-                [waiters[0].request.payload() for _, waiters in order],
-                self._cache,
-                self.settings.group_jobs,
+            outcomes = await asyncio.gather(
+                *(self._execute(ws[0].request.payload()) for _, ws in order)
             )
         except Exception as exc:
             for _, waiters in order:
@@ -843,25 +804,46 @@ class ImageService:
                     if not pending.future.done():
                         pending.future.set_exception(exc)
             return
-        if rebuilds:
-            self.stats.pool_rebuilds += rebuilds
-            for _ in range(rebuilds):
-                self._window.record("pool_rebuild")
         for (_, waiters), outcome in zip(order, outcomes):
-            value, fkind, ftext = outcome
             for pending in waiters:
-                if pending.future.done():
-                    continue  # its client already timed out
-                if ftext is not None:
-                    pending.future.set_result(("fail", fkind, ftext))
-                else:
-                    pending.future.set_result(("ok", value, False))
+                if not pending.future.done():  # else its client timed out
+                    pending.future.set_result(outcome)
+
+    async def _execute(self, payload: dict) -> tuple:
+        """Compute one miss on the pool: ``("ok", value, False)``, stored
+        in the cache here on the loop, or ``("fail", kind, text)`` -- a
+        task exception with the child's traceback, or ``broken-pool``
+        for every task in flight when a worker dies -- never an
+        exception, so one bad request cannot poison its batch-mates."""
+        key, pool = _task_key(payload), self._pool
+        try:
+            status, value, _ = await asyncio.wrap_future(
+                pool.submit(invoke, workers.compute, (payload,), {})
+            )
+        except BrokenProcessPool as exc:
+            if pool is self._pool:  # rebuild once per break
+                self._pool = self._new_pool()
+                self.stats.pool_rebuilds += 1
+                self._window.record("pool_rebuild")
+                pool.shutdown(wait=False)  # some workers are still dying
+            failure = TaskFailure(key, "broken-pool", str(exc))
+            return ("fail", failure.kind, failure.format())
+        if status == "err":
+            etype, msg, tb = value
+            failure = TaskFailure(key, "error", f"{etype}: {msg}", tb)
+            return ("fail", failure.kind, failure.format())
+        if self._cache is not None:
+            self._cache.put(response_key(self._cache, payload), value)
+        return ("ok", value, False)
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.settings.workers, initializer=workers.detach_sockets
+        )
 
     # -- health ----------------------------------------------------------
 
     def _health(self, req_id) -> dict:
-        from repro.perf import memo_stats
-
         s = self.stats
         return {
             "id": req_id,
@@ -878,7 +860,6 @@ class ImageService:
             "deadline_misses": s.deadline_misses,
             "streams": s.streams,
             "cache": None if self._cache is None else self._cache.stats(),
-            "memo": memo_stats(),
             "faults": {
                 "contained": s.contained_faults,
                 "stalls": s.stalls,
@@ -906,46 +887,3 @@ def response_key(cache: ResultCache, payload: dict) -> str:
     :class:`ExperimentRunner` with ``cache`` attached would use for the
     ``serve/{kind}/{stable_digest(payload)}`` task over ``payload``."""
     return cache.entry_key(_task_key(payload), payload=((payload,), {}))
-
-
-def _execute_group(
-    payloads: list[dict],
-    cache: ResultCache | None,
-    jobs: int = 1,
-) -> tuple[list[tuple[Any, str | None, str | None]], int]:
-    """Run one compatible group of cache misses through an
-    :class:`ExperimentRunner`.
-
-    Runs in a worker thread.  Returns ``(outcomes, pool_rebuilds)``
-    where each outcome is ``(value, failure_kind, failure_text)`` per
-    payload, in order; a failure is the formatted
-    :class:`~repro.exec.runner.TaskFailure` text plus its kind (the
-    dispatch side retries ``broken-pool``), never an exception, so one
-    bad request cannot poison its batch-mates.  With ``jobs >= 2`` the
-    group fans out over a process pool; a worker death is contained by
-    the runner as ``broken-pool`` failures and reported through
-    ``pool_rebuilds``.  Each task runs once: retrying is the caller's
-    decision.  The caller has already looked each payload up, so the
-    runner runs uncached and every successful value -- a contained
-    fault's diagnosis included -- is stored here under
-    :func:`response_key`.
-    """
-    tasks = []
-    for payload in payloads:
-        fn = (
-            workers.profile_kernel
-            if payload.get("kind") == "profile"
-            else workers.form_image
-        )
-        tasks.append(TaskSpec(key=_task_key(payload), fn=fn, args=(payload,)))
-    runner = ExperimentRunner(jobs=jobs, cache=None)
-    results = runner.run(tasks, strict=False)
-    out: list[tuple[Any, str | None, str | None]] = []
-    for payload, res in zip(payloads, results):
-        if res.ok:
-            if cache is not None:
-                cache.put(response_key(cache, payload), res.value)
-            out.append((res.value, None, None))
-        else:
-            out.append((None, res.failure.kind, res.failure.format()))
-    return out, runner.stats.pool_rebuilds

@@ -1,7 +1,7 @@
 """Pure task functions behind the serving tier.
 
-Module-level (picklable) so the service can schedule them through an
-:class:`repro.exec.ExperimentRunner` at any ``jobs`` level, and pure
+Module-level (picklable) so the service can run them on its process
+pool (:func:`compute` is the task of every batched miss), and pure
 functions of their request payload so the service's content-addressed
 response cache (a :class:`~repro.exec.cache.ResultCache`) can serve
 repeats byte-identically: the cache key digests the payload dict plus
@@ -12,7 +12,8 @@ The heavy geometry inside (one FFBP gather table per merge stage and
 options, see :func:`repro.sar.ffbp.stage_maps`) flows through
 :mod:`repro.perf` memoisation, so concurrent tenants asking for the
 *same grid* but different scenes/seeds still share one build -- the
-serving counterpart of the sweep-time memo win.  An FFBP image request
+serving counterpart of the sweep-time memo win (one memo per pool
+worker).  An FFBP image request
 reaches :func:`form_image` only after
 :func:`repro.serve.protocol.parse_request` has refused the sizes, shard
 counts and options the kernels cannot answer.
@@ -42,6 +43,32 @@ def _simulate(payload: dict):
         seed=payload.get("noise_seed", 1234),
     )
     return cfg, data
+
+
+def detach_sockets() -> None:
+    """Pool-worker initializer: point every socket descriptor inherited
+    through fork at ``/dev/null``, so a connection the server closes
+    reaches its peer at once, not when the worker exits.  ``dup2``, not
+    ``close``: a socket object finalised later closes only the stand-in."""
+    import os
+    import stat
+
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in map(int, os.listdir("/dev/fd")):
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(devnull, fd)
+        except OSError:  # the listing's own descriptor, now closed
+            pass
+    os.close(devnull)
+
+
+def compute(payload: dict) -> dict:
+    """The result value of one batched request payload, dispatched on
+    ``kind`` in the worker."""
+    if payload.get("kind") == "profile":
+        return profile_kernel(payload)
+    return form_image(payload)
 
 
 def form_image(payload: dict) -> dict:
@@ -137,9 +164,8 @@ def _maybe_chaos_kill(payload: dict) -> None:
     a segfault to the pool.  Once every slot is claimed the payload
     computes normally, so a request retried by the serve layer heals
     deterministically.  The service only routes marker-carrying
-    requests here when booted with ``allow_chaos`` *and* a real
-    process pool (``group_jobs >= 2``); otherwise the kill would take
-    the server itself down.
+    requests here when booted with ``allow_chaos``, and always on its
+    process pool, so the kill never takes the server itself down.
     """
     marker = payload.get("fail_marker")
     if not marker:

@@ -498,7 +498,6 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
         breaker_window=4,
         breaker_failures=2,
         breaker_cooldown=2,
-        group_jobs=2,
         allow_chaos=True,
         resilience_seed=seed,
     )

@@ -8,15 +8,16 @@ exactly as ``repro serve`` runs them.
 
 import asyncio
 import json
+import multiprocessing
+import os
 import struct
-import threading
 import time
-from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
 
 from repro.serve import ImageService, ServeSettings, decode_array, encode_frame, read_frame
+from repro.serve.protocol import ProtocolError
 from repro.serve import service as service_module
 
 FAST = dict(host="127.0.0.1", port=0, workers=2, batch_window_ms=1.0)
@@ -160,7 +161,8 @@ class TestHitPath:
     batch window, no group, no worker."""
 
     def test_hit_is_answered_while_the_only_worker_is_busy(self, monkeypatch):
-        started, release = threading.Event(), threading.Event()
+        # Process events, patched in before the pool forks its worker.
+        started, release = multiprocessing.Event(), multiprocessing.Event()
         form_image = service_module.workers.form_image
 
         def blocking(payload):
@@ -276,6 +278,27 @@ class TestContainment:
         assert err["code"] == "bad-json"
         assert ok["type"] == "health"
 
+    def test_server_close_reaches_the_peer_after_the_pool_forks(self):
+        """A connection open while the pool forks its workers still sees
+        EOF as soon as the server closes it: no worker keeps a copy of
+        the socket."""
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                first, _ = await send_recv(reader, writer, {**IMG, "id": "fork"})
+                writer.write(b"\x00\x00")  # half a length prefix, then EOF
+                writer.write_eof()
+                tail = await asyncio.wait_for(reader.read(), timeout=10)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return first, tail
+
+        first, tail = service_test(scenario)
+        assert first["type"] == "result"
+        assert tail == b""  # the truncated frame closed the connection
+
     def test_oversized_payload_then_connection_still_usable(self):
         async def scenario(service):
             reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
@@ -295,9 +318,10 @@ class TestContainment:
         assert ok["type"] == "health"
 
     def test_oversized_result_is_a_structured_error(self):
-        """A result over the frame limit answers ``oversized`` naming
-        the limit -- computed and cached alike -- counts as an error,
-        and leaves the connection usable."""
+        """An image whose result cannot fit in one frame answers
+        ``oversized`` naming the limit before any compute -- no cache
+        lookup, no batch -- counts as an error, and leaves the
+        connection usable."""
 
         async def scenario(service):
             reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
@@ -324,15 +348,26 @@ class TestContainment:
             assert frame["code"] == "oversized"
             assert frame["id"] == rid
             assert "4096-byte limit" in frame["detail"]
-        assert cache["hits"] == 1  # the repeat took the hit path
         assert small["type"] == "result"
+        assert (cache["hits"], cache["misses"]) == (0, 1)  # only the small one
+        assert stats.batches == 1
         assert stats.errors == 2
         assert stats.served == 1
 
-    def test_oversized_partial_is_a_structured_error(self):
+    def test_oversized_partial_is_a_structured_error(self, monkeypatch):
         """A streamed ``partial`` over the frame limit answers the
         client-class ``oversized`` code, not ``internal``, counts one
-        error, and leaves the connection usable."""
+        error, and leaves the connection usable.  A real stage frame is
+        10-12 bytes under its request's decode-time result bound (measured
+        at 2-256 pulses), so a stub streamer emits the oversized partial."""
+
+        def oversized_stream(payload, emit, stream_data=False):
+            emit({"level": 0, "pad": "x" * 20000})
+            return {"image": None}
+
+        monkeypatch.setattr(
+            service_module.workers, "form_image_streaming", oversized_stream
+        )
 
         async def scenario(service):
             reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
@@ -341,7 +376,7 @@ class TestContainment:
                     send_recv(
                         reader,
                         writer,
-                        {"kind": "image", "id": "s", "pulses": 64, "ranges": 65,
+                        {"kind": "image", "id": "s", "pulses": 16, "ranges": 17,
                          "algorithm": "ffbp", "stream": True,
                          "stream_data": True},
                     ),
@@ -365,6 +400,40 @@ class TestContainment:
         assert "16384-byte limit" in streamed["detail"]
         assert stats.errors == 1
         assert health["type"] == "health"
+
+    def test_result_over_the_limit_at_send_time_is_oversized(self, monkeypatch):
+        """The send-time check stays behind the decode-time bound: a
+        result frame that still overflows answers ``oversized``, counts
+        one error, and leaves the connection usable."""
+
+        def oversized_result(payload, emit, stream_data=False):
+            return {"pad": "x" * 20000}
+
+        monkeypatch.setattr(
+            service_module.workers, "form_image_streaming", oversized_result
+        )
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                frame, _ = await send_recv(
+                    reader,
+                    writer,
+                    {**IMG, "id": "r", "pulses": 16, "ranges": 17, "stream": True},
+                )
+                health, _ = await send_recv(
+                    reader, writer, {"kind": "health", "id": "h"}
+                )
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return frame, health
+
+        frame, health = service_test(scenario, max_frame_bytes=16384)
+        assert frame["code"] == "oversized", frame
+        assert frame["detail"].startswith("result frame of ")
+        assert "16384-byte limit" in frame["detail"]
+        assert health["errors"] == 1
 
     def test_unknown_backend_is_a_structured_error(self):
         async def scenario(service):
@@ -420,6 +489,66 @@ class TestContainment:
         assert health["errors"] >= 1
 
 
+class TestFrameBound:
+    """Sizes swept across the frame limit are either answered or
+    refused at decode: no image is computed only to be refused as
+    ``oversized``, and no request whose result fits is refused."""
+
+    LIMIT = 1 << 14
+
+    @pytest.mark.parametrize("algorithm", ["ffbp", "gbp", "rda"])
+    def test_size_sweep_has_no_post_compute_oversized(self, algorithm):
+        itemsize = 8 if algorithm == "ffbp" else 16
+        sizes = []
+        for pulses in (16, 32):
+            # Where pulses x ranges x itemsize x 4/3 crosses the limit.
+            cross = self.LIMIT * 3 // (4 * pulses * itemsize)
+            sizes += [(pulses, ranges) for ranges in range(cross - 4, cross + 5)]
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            out = []
+            try:
+                for pulses, ranges in sizes:
+                    batches = service.stats.batches
+                    frame, _ = await send_recv(
+                        reader,
+                        writer,
+                        {"kind": "image", "id": f"{pulses}x{ranges}",
+                         "algorithm": algorithm, "pulses": pulses,
+                         "ranges": ranges},
+                    )
+                    out.append((frame, service.stats.batches > batches))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return out
+
+        outcomes = service_test(scenario, max_frame_bytes=self.LIMIT, no_cache=True)
+        refused = []
+        for (pulses, ranges), (frame, computed) in zip(sizes, outcomes):
+            if frame["type"] == "result":
+                assert computed
+                continue
+            assert frame["code"] == "oversized", frame
+            assert not computed, f"{frame['id']} was computed, then refused"
+            assert f"{self.LIMIT}-byte limit" in frame["detail"]
+            refused.append((pulses, ranges, frame["id"]))
+        assert refused and len(refused) < len(sizes)  # the sweep straddles
+        for pulses, ranges, rid in refused:
+            # Would the result really not have fit?
+            value = service_module.workers.form_image(
+                {"kind": "image", "algorithm": algorithm, "pulses": pulses,
+                 "ranges": ranges}
+            )
+            response = dict(
+                value, id=rid, type="result", cached=False,
+                elapsed_ms=value["compute_ms"], retries=0,
+            )
+            with pytest.raises(ProtocolError):
+                encode_frame(response, self.LIMIT)
+
+
 class TestDeadlines:
     def test_deadline_yields_structured_timeout(self):
         async def scenario(service):
@@ -446,15 +575,6 @@ class TestDeadlines:
         )
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
-
-
-class InlineExecutor(Executor):
-    """Runs each job on submit: the job is done before it is awaited."""
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
 
 
 OVERRUN_S = 0.005  # every job below takes 5 ms against a 1 ms deadline
@@ -494,13 +614,18 @@ class TestOneDeadlineRule:
         )
 
         async def scenario(service):
-            pool, service._pool = service._pool, InlineExecutor()
-            try:
-                frame, _ = await one_shot(
-                    service, {**IMG, "id": "late", "stream": True, "deadline_ms": 1}
-                )
-            finally:
-                service._pool = pool
+            loop = asyncio.get_running_loop()
+
+            def run_inline(executor, fn, *args):
+                """Run the job on submit: it is done before it is awaited."""
+                future = loop.create_future()
+                future.set_result(fn(*args))
+                return future
+
+            monkeypatch.setattr(loop, "run_in_executor", run_inline)
+            frame, _ = await one_shot(
+                service, {**IMG, "id": "late", "stream": True, "deadline_ms": 1}
+            )
             health, _ = await one_shot(service, {"kind": "health", "id": "h"})
             return frame, health
 
@@ -583,7 +708,9 @@ class TestLifecycle:
         assert frame["status"] == "ok"
         assert isinstance(frame["code_version"], str)
         assert frame["uptime_s"] >= 0
-        assert isinstance(frame["memo"], dict)
+        assert isinstance(frame["cache"], dict)
+        # The geometry memo lives in the pool workers, not the server.
+        assert "memo" not in frame
 
     def test_shutdown_request_stops_serve_until_shutdown(self):
         async def main():
@@ -608,10 +735,6 @@ class TestLifecycle:
             ServeSettings(max_inflight=0)
         with pytest.raises(ValueError):
             ServeSettings(max_retries=-1)
-        with pytest.raises(ValueError):
-            # A chaos kill on an inline (jobs=1) group would take the
-            # server itself down -- rejected at construction.
-            ServeSettings(allow_chaos=True, group_jobs=1)
 
 
 STALL_SPEC = "faulty(link:(0,0)->(0,1)@p=1:stall=500000):event:e16"
@@ -737,7 +860,6 @@ class TestResilience:
         frame, health = service_test(
             scenario,
             allow_chaos=True,
-            group_jobs=2,
             max_retries=1,
             retry_backoff_ms=2.0,
         )
@@ -766,7 +888,6 @@ class TestResilience:
         frame = service_test(
             scenario,
             allow_chaos=True,
-            group_jobs=2,
             max_retries=1,
             retry_backoff_ms=2.0,
         )
@@ -808,7 +929,6 @@ class TestResilience:
         killed, sibling = service_test(
             scenario,
             allow_chaos=True,
-            group_jobs=2,
             max_retries=1,
             retry_backoff_ms=2.0,
             batch_window_ms=200.0,
@@ -819,14 +939,13 @@ class TestResilience:
         assert sibling["retries"] in (0, 1)
 
     def test_group_exception_is_internal_with_retries(self, monkeypatch):
-        """An exception escaping the group executor still yields a
+        """An exception escaping the pool submission still yields a
         batched terminal frame carrying ``retries``."""
-        from repro.serve import service as service_mod
 
-        def explode(*args, **kwargs):
+        async def explode(self, payload):
             raise RuntimeError("group executor exploded")
 
-        monkeypatch.setattr(service_mod, "_execute_group", explode)
+        monkeypatch.setattr(ImageService, "_execute", explode)
 
         async def scenario(service):
             frame, _ = await one_shot(service, {**IMG, "id": "x"})
@@ -837,6 +956,89 @@ class TestResilience:
         assert frame["code"] == "internal"
         assert frame["retries"] == 0
         assert "exploded" in frame["detail"]
+
+    def test_one_break_under_two_groups_rebuilds_the_pool_once(
+        self, tmp_path, monkeypatch
+    ):
+        """An image group is in flight on the pool when a later profile
+        group SIGKILLs its worker.  The break fails both, the pool is
+        rebuilt once, and both requests heal through the serve-level
+        retry."""
+        image_started = multiprocessing.Event()
+        form_image = service_module.workers.form_image
+        hold = str(tmp_path / "hold")
+
+        def held_image(payload):
+            # The first attempt holds its worker until the break
+            # terminates it; the retry computes.
+            try:
+                os.close(os.open(hold, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return form_image(payload)
+            image_started.set()
+            time.sleep(30)
+            return form_image(payload)
+
+        # In place before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(service_module.workers, "form_image", held_image)
+
+        async def scenario(service):
+            killed = {
+                "kind": "profile",
+                "id": "k",
+                "backend": "analytic:e16",
+                "pulses": 16,
+                "ranges": 17,
+                "fail_marker": str(tmp_path / "m"),
+                "fail_times": 1,
+            }
+            image = asyncio.create_task(one_shot(service, {**IMG, "id": "i"}))
+            assert await asyncio.to_thread(image_started.wait, 20)
+            frames = await asyncio.wait_for(
+                asyncio.gather(one_shot(service, killed), image), timeout=25
+            )
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return [frame for frame, _ in frames], health
+
+        (killed, image), health = service_test(
+            scenario, allow_chaos=True, max_retries=1, retry_backoff_ms=2.0
+        )
+        assert killed["type"] == "result", killed
+        assert killed["retries"] == 1
+        assert image["type"] == "result", image
+        assert image["retries"] == 1
+        assert health["batches"] >= 3  # two groups, then their retries
+        assert health["resilience"]["pool_rebuilds"] == 1
+        assert health["resilience"]["retries"] == 2
+
+    def test_sequential_misses_share_one_pool(self, monkeypatch):
+        """Every miss runs in a worker process of the one pool created
+        with the service; nothing rebuilds it between misses."""
+        form_image = service_module.workers.form_image
+
+        def with_pid(payload):
+            return dict(form_image(payload), pid=os.getpid())
+
+        monkeypatch.setattr(service_module.workers, "form_image", with_pid)
+        n = 6
+
+        async def scenario(service):
+            pool = service._pool
+            frames = [
+                (await one_shot(service, {**IMG, "id": f"m{i}", "noise_seed": i}))[0]
+                for i in range(n)
+            ]
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frames, health, service._pool is pool
+
+        frames, health, same_pool = service_test(scenario)
+        assert all(f["type"] == "result" and not f["cached"] for f in frames)
+        pids = {f["pid"] for f in frames}
+        assert os.getpid() not in pids  # computed off the server process
+        assert len(pids) <= FAST["workers"]
+        assert same_pool
+        assert health["batches"] == n
+        assert health["resilience"]["pool_rebuilds"] == 0
 
     def test_breaker_degrades_event_requests_after_trip(self):
         async def scenario(service):

@@ -264,7 +264,7 @@ class TestServeCli:
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
         assert args.port == 0
-        assert args.workers == 2
+        assert args.workers == 1
         args = build_parser().parse_args(["load", "--spawn"])
         assert args.clients == 2
         assert args.requests == 8
