@@ -79,13 +79,10 @@ def _add_jobs_arg(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _shard_count(text: str) -> int:
-    """argparse type for ``--shards``: an integer >= 1.
-
-    Validating at the parser level turns misuse into a proper usage
-    error (exit 2, usage + one-line message on stderr, no traceback)
-    *before* any scene is simulated.
-    """
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be >= 1 (``--shards``,
+    ``--width``, ``--height``): misuse is a usage error (exit 2, one
+    line naming the option, no traceback) before any work starts."""
     try:
         value = int(text)
     except ValueError:
@@ -95,23 +92,16 @@ def _shard_count(text: str) -> int:
     return value
 
 
-def _validate_image(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Cross-field checks for ``image``, run before any work starts.
+def _check_image(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Admit exactly the images the serving protocol admits: its
+    :func:`~repro.serve.protocol.check_image` runs before any scene is
+    simulated, and a refusal is a usage error naming the bound."""
+    from repro.serve.protocol import check_image
 
-    ``--shards`` and ``--interpolation`` only affect the ffbp
-    algorithm; combining them with gbp/rda used to be silently ignored
-    or rejected deep in the command body -- both are argparse-level
-    usage errors now.
-    """
-    if args.shards > 1 and args.algorithm != "ffbp":
-        parser.error(
-            f"--shards applies to the ffbp algorithm, not {args.algorithm!r}"
-        )
-    if args.interpolation != "nearest" and args.algorithm != "ffbp":
-        parser.error(
-            f"--interpolation applies to the ffbp algorithm, "
-            f"not {args.algorithm!r}"
-        )
+    try:
+        check_image(_config(args), args.algorithm, args.shards, args.interpolation)
+    except ValueError as exc:
+        parser.error(getattr(exc, "detail", str(exc)))
 
 
 def _backend_with_default_spec(token: str, spec: str) -> str:
@@ -196,9 +186,6 @@ def cmd_image(args: argparse.Namespace) -> int:
     from repro.sar.rda import range_doppler_image
     from repro.sar.simulate import simulate_compressed
 
-    # --shards / --interpolation misuse is rejected at argparse level
-    # (see _validate_image); by the time we are here the combination is
-    # legal and work may start.
     cfg = _config(args)
     scene = default_scene(cfg)
     data = simulate_compressed(cfg, scene)
@@ -478,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig7", help="render the Fig. 7 panels")
     _add_scale_args(p)
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=16)
+    p.add_argument("--width", type=_positive_int, default=64)
+    p.add_argument("--height", type=_positive_int, default=16)
     p.set_defaults(fn=cmd_fig7)
 
     p = sub.add_parser("image", help="simulate and image a scene")
@@ -492,16 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shards",
-        type=_shard_count,
+        type=_positive_int,
         default=1,
         metavar="N",
         help="shard the FFBP aperture as N chips would (>= 1, a power "
         "of the merge base, ffbp only); the image is byte-identical "
         "to --shards 1",
     )
-    p.add_argument("--width", type=int, default=64)
-    p.add_argument("--height", type=int, default=20)
-    p.set_defaults(fn=cmd_image, validate=partial(_validate_image, p))
+    p.add_argument("--width", type=_positive_int, default=64)
+    p.add_argument("--height", type=_positive_int, default=20)
+    p.set_defaults(fn=cmd_image, validate=partial(_check_image, p))
 
     p = sub.add_parser("profile", help="cycle breakdown of a kernel")
     _add_scale_args(p)

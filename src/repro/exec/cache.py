@@ -18,8 +18,8 @@ source, it can be stored under a key that names exactly those inputs:
 :class:`ResultCache` is the one store.  ``repro.perf`` runs a 256 MiB
 memory tier per process; the runner and the serving tier use
 disk-only stores.  The serving tier looks each request up on arrival
-and answers a hit without batching it; its runner runs only the
-misses, uncached, and the service stores their values.  Outside
+and answers a hit without batching it; its one process pool computes
+only the misses, and the service stores their values.  Outside
 serving the disk tier is **opt-in**: it is enabled exactly when
 ``REPRO_CACHE_DIR`` is set (:func:`default_cache`).
 """

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.sar.config import RadarConfig
 from repro.sar.grids import CartesianGrid, CartesianImage
-from repro.signal.interpolation import cubic_neville_rows
+from repro.signal.interpolation import cubic_neville_rows, require_cubic_samples
 
 
 def azimuth_wavenumbers(cfg: RadarConfig) -> np.ndarray:
@@ -47,6 +47,12 @@ def migration_factor(cfg: RadarConfig, kx: np.ndarray) -> np.ndarray:
     """
     ratio = kx / (2.0 * cfg.wavenumber)
     return np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0))
+
+
+def check_rda(cfg: RadarConfig) -> None:
+    """Raise the kernel's own ``ValueError`` when RDA cannot image ``cfg``:
+    RCMC resamples every range line with the four-point cubic stencil."""
+    require_cubic_samples(cfg.n_ranges)
 
 
 def range_doppler_image(

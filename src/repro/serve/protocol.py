@@ -202,10 +202,7 @@ def _require_int(obj: dict, name: str, default: int, lo: int, hi: int) -> int:
     value = obj.get(name, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise RequestError("bad-request", f"{name!r} must be an integer")
-    if not lo <= value <= hi:
-        raise RequestError(
-            "bad-request", f"{name!r} must be in [{lo}, {hi}], got {value}"
-        )
+    _check_bound(name, value, lo, hi)
     return value
 
 
@@ -350,20 +347,52 @@ def radar_config(pulses: int, ranges: int):
     return RadarConfig.small(n_pulses=pulses, n_ranges=ranges)
 
 
-def _check_ffbp(
-    pulses: int,
-    ranges: int,
-    shards: int,
-    interpolation: str,
-    phase_correction: bool,
+def _check_bound(name: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise RequestError(
+            "bad-request", f"{name!r} must be in [{lo}, {hi}], got {value}"
+        )
+
+
+def check_image(
+    cfg,
+    algorithm: str = "ffbp",
+    shards: int = 1,
+    interpolation: str = "nearest",
+    phase_correction: bool = False,
 ) -> None:
-    """Refuse FFBP work the kernels could not do, naming the bound."""
+    """Refuse image work the kernels could not answer, naming the bound.
+
+    The one image envelope: :func:`parse_request` and ``repro image``
+    both run it before any compute.  Raises :class:`RequestError`
+    (``bad-request``) for a size outside the protocol's limits, FFBP
+    work :func:`repro.sar.shard.check_ffbp` refuses, an RDA range line
+    too short for its cubic RCMC stencil (:func:`repro.sar.rda.
+    check_rda`), or an FFBP-only option on another algorithm (a silent
+    no-op that would still split the response cache).
+    """
+    from repro.sar.rda import check_rda
     from repro.sar.shard import check_ffbp
 
+    _check_bound("pulses", cfg.n_pulses, 2, MAX_PULSES)
+    _check_bound("ranges", cfg.n_ranges, 3, MAX_RANGES)
+    if algorithm != "ffbp":
+        for name, value, default in (
+            ("shards", shards, 1),
+            ("interpolation", interpolation, "nearest"),
+            ("phase_correction", phase_correction, False),
+        ):
+            if value != default:
+                raise RequestError(
+                    "bad-request",
+                    f"{name!r} applies to the ffbp algorithm, "
+                    f"not {algorithm!r}",
+                )
     try:
-        check_ffbp(
-            radar_config(pulses, ranges), shards, interpolation, phase_correction
-        )
+        if algorithm == "ffbp":
+            check_ffbp(cfg, shards, interpolation, phase_correction)
+        elif algorithm == "rda":
+            check_rda(cfg)
     except ValueError as exc:
         raise RequestError("bad-request", str(exc)) from exc
 
@@ -412,22 +441,13 @@ def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
             ("nearest", "bilinear", "cubic_range"),
         )
         phase_correction = _require_bool(obj, "phase_correction")
-        if algorithm == "ffbp":
-            _check_ffbp(pulses, ranges, shards, interpolation, phase_correction)
-        else:
-            # FFBP-only fields would be silent no-ops that still split
-            # the response cache; refuse them as the CLI does.
-            for name, value, default in (
-                ("shards", shards, 1),
-                ("interpolation", interpolation, "nearest"),
-                ("phase_correction", phase_correction, False),
-            ):
-                if value != default:
-                    raise RequestError(
-                        "bad-request",
-                        f"{name!r} applies to the ffbp algorithm, "
-                        f"not {algorithm!r}",
-                    )
+        check_image(
+            radar_config(pulses, ranges),
+            algorithm,
+            shards,
+            interpolation,
+            phase_correction,
+        )
         bound = result_frame_bound(req_id, algorithm, pulses, ranges)
         if bound > max_frame_bytes:
             raise RequestError(
@@ -456,7 +476,7 @@ def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
     from repro.machine.backends import resolve_backend
 
     try:
-        resolve_backend(backend)
+        _, spec = resolve_backend(backend)
     except ValueError as exc:
         raise RequestError("unknown-backend", str(exc)) from exc
     watchdog = obj.get("watchdog")
@@ -473,16 +493,23 @@ def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
     kernel = _require_choice(obj, "kernel", "ffbp", PROFILE_KERNELS)
     pulses = _require_int(obj, "pulses", 64, 2, MAX_PULSES)
     ranges = _require_int(obj, "ranges", 65, 3, MAX_RANGES)
+    # Up to 16 cores by default, never more than the chip has.
+    default_cores = min(16, spec.n_cores)
+    cores = _require_int(obj, "cores", default_cores, 1, spec.n_cores)
     if kernel == "ffbp":
         # The cost plan walks the same merge tree as the image path.
-        _check_ffbp(pulses, ranges, 1, "nearest", False)
+        check_image(radar_config(pulses, ranges))
+    elif cores != default_cores:
+        raise RequestError(
+            "bad-request", f"'cores' applies to the ffbp kernel, not {kernel!r}"
+        )
     return ProfileRequest(
         id=req_id,
         backend=backend,
         kernel=kernel,
         pulses=pulses,
         ranges=ranges,
-        cores=_require_int(obj, "cores", 16, 1, 4096),
+        cores=cores,
         watchdog=watchdog,
         deadline_ms=_deadline_ms(obj),
         fail_marker=fail_marker,

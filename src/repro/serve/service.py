@@ -79,6 +79,10 @@ from repro.serve.resilience import (
 
 __all__ = ["ServeSettings", "ServeStats", "ImageService"]
 
+CLOSE_GRACE_S = 2.0
+"""How long :meth:`ImageService.close` lets a connected peer read its
+last frames before the connection is aborted."""
+
 
 @dataclass(frozen=True)
 class ServeSettings:
@@ -215,7 +219,7 @@ class ImageService:
         self._batcher: asyncio.Task | None = None
         self._group_tasks: set[asyncio.Task] = set()
         self._dispatch_tasks: set[asyncio.Task] = set()
-        self._writers: set = set()
+        self._handlers: dict = {}  # writer -> its connection handler task
         self._pool = self._new_pool()
         self._tmpdir = None
         if self.settings.no_cache:
@@ -279,7 +283,8 @@ class ImageService:
         re-enters through :meth:`_enqueue`, which runs it as its own
         group once the batcher is gone, so no future is ever orphaned.
         Only then close lingering idle connections (their handlers are
-        parked in ``read_frame``) and the pool.
+        parked in ``read_frame``), wait for their handlers to finish,
+        and close the pool.
         """
         self._closing = True
         self._shutdown.set()
@@ -307,8 +312,19 @@ class ImageService:
                 break
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
-        for writer in list(self._writers):
+        # Closing a writer flushes it, then ends its handler's read with
+        # EOF: wait for the handlers, so none is left to the loop's
+        # teardown.  A peer that does not read its last frames within
+        # the grace period is aborted rather than holding shutdown.
+        handlers = dict(self._handlers)
+        for writer in handlers:
             writer.close()
+        if handlers:
+            _, stuck = await asyncio.wait(handlers.values(), timeout=CLOSE_GRACE_S)
+            for writer, task in handlers.items():
+                if task in stuck:
+                    writer.transport.abort()
+            await asyncio.gather(*handlers.values(), return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -321,7 +337,7 @@ class ImageService:
 
     async def _on_client(self, reader, writer) -> None:
         self._connections += 1
-        self._writers.add(writer)
+        self._handlers[writer] = asyncio.current_task()
         lock = asyncio.Lock()
         conn_tasks: set[asyncio.Task] = set()
 
@@ -425,7 +441,7 @@ class ImageService:
             if conn_tasks:
                 await asyncio.gather(*conn_tasks, return_exceptions=True)
             self._connections -= 1
-            self._writers.discard(writer)
+            self._handlers.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

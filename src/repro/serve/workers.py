@@ -13,10 +13,10 @@ options, see :func:`repro.sar.ffbp.stage_maps`) flows through
 :mod:`repro.perf` memoisation, so concurrent tenants asking for the
 *same grid* but different scenes/seeds still share one build -- the
 serving counterpart of the sweep-time memo win (one memo per pool
-worker).  An FFBP image request
-reaches :func:`form_image` only after
+worker).  A request reaches :func:`form_image` or
+:func:`profile_kernel` only after
 :func:`repro.serve.protocol.parse_request` has refused the sizes, shard
-counts and options the kernels cannot answer.
+and core counts and options the kernels cannot answer.
 """
 
 from __future__ import annotations
@@ -203,8 +203,7 @@ def profile_kernel(payload: dict) -> dict:
             from repro.kernels.ffbp_spmd import run_ffbp_spmd
 
             cfg = radar_config(payload["pulses"], payload["ranges"])
-            cores = min(int(payload.get("cores", 16)), machine.n_cores)
-            res = run_ffbp_spmd(machine, plan_ffbp(cfg), cores)
+            res = run_ffbp_spmd(machine, plan_ffbp(cfg), payload["cores"])
         else:
             from repro.kernels.autofocus_mpmd import (
                 run_autofocus_mpmd_resilient,

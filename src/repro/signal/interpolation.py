@@ -156,6 +156,12 @@ def interp_sinc(
     return np.where(valid, out, np.zeros((), dtype=out.dtype))
 
 
+def require_cubic_samples(n: int) -> None:
+    """Refuse a four-point cubic stencil over fewer than four samples."""
+    if n < 4:
+        raise ValueError(f"cubic interpolation needs >= 4 samples, got {n}")
+
+
 def cubic_neville(samples: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Four-point cubic (Neville/Lagrange) interpolation.
 
@@ -166,8 +172,7 @@ def cubic_neville(samples: np.ndarray, positions: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples)
     positions = np.asarray(positions, dtype=np.float64)
     n = samples.shape[-1]
-    if n < 4:
-        raise ValueError(f"cubic interpolation needs >= 4 samples, got {n}")
+    require_cubic_samples(n)
     i0 = np.floor(positions).astype(np.int64)
     # Clamp so the 4-point stencil [i0-1 .. i0+2] stays in range.
     i0c = np.clip(i0, 1, n - 3)
@@ -200,8 +205,7 @@ def cubic_neville_rows(
             f"cubic_neville_rows needs (rows, n) samples, got {samples.shape}"
         )
     rows, n = samples.shape
-    if n < 4:
-        raise ValueError(f"cubic interpolation needs >= 4 samples, got {n}")
+    require_cubic_samples(n)
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim == 1:
         positions = np.broadcast_to(positions, (rows, positions.shape[0]))

@@ -6,12 +6,14 @@ that keeps them honest.  Three layers, each usable on its own:
 - :mod:`repro.verify.tolerance` -- relative-or-absolute tolerance
   bands and the :class:`~repro.verify.tolerance.Check` result record
   every verifier emits.
-- :mod:`repro.verify.oracles` -- differential oracles that replay one
-  kernel workload (FFBP SPMD, autofocus MPMD, sequential baselines)
-  across every registered backend plus the CPU reference, asserting
-  cycles/energy within declared bands and *bit-level* agreement on the
-  operation counters and per-core results (same generators, so the
-  contract there is exact).
+- :mod:`repro.verify.oracles` -- the workload table every contract
+  reads its kernel runs from (each run made once per process), and
+  differential oracles that replay one kernel workload (FFBP SPMD,
+  autofocus MPMD, sequential baselines) across every registered
+  backend plus the CPU reference, asserting cycles/energy within
+  declared bands and *bit-level* agreement on the operation counters
+  and per-core results (same generators, so the contract there is
+  exact).
 - :mod:`repro.verify.golden` -- deterministic fingerprints (Table-I
   metrics, per-core profiles, NoC/DMA traffic counters, SAR image
   quality) snapshotted under ``tests/golden/*.json`` with an update

@@ -32,9 +32,9 @@ set is identical across processes and ``--jobs`` levels.
 
 ``python -m repro verify --chaos-serve N`` extends the contract to the
 serving tier (:func:`run_chaos_serve_case`): each case boots a real
-:class:`~repro.serve.service.ImageService` (real sockets, process-pool
-groups, chaos hooks armed) and drives a scripted adversarial scenario
--- injected stalls on ``event:*`` specs, SIGKILLed workers via
+:class:`~repro.serve.service.ImageService` (real sockets, its one
+process pool, chaos hooks armed) and drives a scripted adversarial
+scenario -- injected stalls on ``event:*`` specs, SIGKILLed workers via
 ``fail_marker``, a guaranteed deadline miss, an admission-control
 burst, and an in-flight request at shutdown.  The gate asserts the
 containment contract end-to-end: every request gets exactly one
@@ -63,6 +63,7 @@ from repro.faults.report import (
     FaultReport,
     StallError,
 )
+from repro.verify.oracles import EXACT_TRACE_FIELDS
 from repro.verify.tolerance import Check
 
 __all__ = [
@@ -184,27 +185,16 @@ def random_plan(
 def _work_fingerprint(result) -> str:
     """Timing-independent digest of what a run *did*.
 
-    Operation counts, byte counters and message counts are invariant
-    under pure-timing (maskable) faults; cycle counts are not.  A
-    completed faulty run whose fingerprint differs from the fault-free
-    run's has been silently corrupted.
+    The exact-contract counters (:data:`~repro.verify.oracles.
+    EXACT_TRACE_FIELDS`) are invariant under pure-timing (maskable)
+    faults; cycle counts are not.  A completed faulty run whose
+    fingerprint differs from the fault-free run's has been silently
+    corrupted.
     """
     h = hashlib.sha256()
     for t in result.traces:
         h.update(
-            repr(
-                (
-                    round(t.total_flops, 6),
-                    round(t.ext_read_bytes, 6),
-                    round(t.ext_write_bytes, 6),
-                    round(t.remote_read_bytes, 6),
-                    round(t.remote_write_bytes, 6),
-                    t.messages_sent,
-                    t.messages_received,
-                    t.barriers,
-                    t.dma_transfers,
-                )
-            ).encode()
+            repr(tuple(round(getattr(t, f), 6) for f in EXACT_TRACE_FIELDS)).encode()
         )
     h.update(repr(result.results).encode())
     return h.hexdigest()

@@ -32,14 +32,17 @@ a 4x case budget.  Exit status: 0 all green, 1 contract violations
 (each printed with its metric name), 2 usage errors (unknown backend,
 unknown fingerprint).
 
-With ``jobs > 1`` the independent gate cells -- one oracle replay per
-(workload, spec), one golden fingerprint per name, one fuzz driver per
-invariant family -- fan out over the :class:`~repro.exec.
-ExperimentRunner` pool.  Cells are pure functions of the source tree
-and the pinned seed, so the report's checks (and the exit code) are
-identical at any jobs level; the report footer gains wall time and
-result-cache statistics.  Golden *update* runs stay cacheable-free and
-write each snapshot exactly once.
+Each cell is one public verifier called with its arguments -- one
+oracle replay per (workload, spec), one golden fingerprint per name,
+one fuzz driver per invariant family.  Cells read their kernel runs
+through :func:`~repro.verify.oracles.verify_run`, so a run two cells
+share is made once per process.  With ``jobs > 1`` the cells fan out
+over the :class:`~repro.exec.ExperimentRunner` pool, and each worker
+shares runs among its own cells only.  Cells are pure functions of the
+source tree and the pinned seed, so the report's checks (and the exit
+code) are identical at any jobs level; the report footer gains wall
+time and result-cache statistics.  Golden *update* runs stay
+cacheable-free and write each snapshot exactly once.
 """
 
 from __future__ import annotations
@@ -48,14 +51,21 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.exec import ExperimentRunner, ExecStats, TaskSpec
+from repro.verify.chaos import CHAOS_BACKENDS, chaos_cell, chaos_serve_cell
 from repro.verify.golden import FINGERPRINTS, update_golden, verify_golden
 from repro.verify.oracles import (
     differential_oracle,
+    fabric_identity_oracle,
+    fabric_timing_oracle,
     oracle_workloads,
     work_parity_oracle,
 )
 from repro.verify.fuzz import FUZZ_DRIVERS
-from repro.verify.replay import REPLAY_WORKLOADS
+from repro.verify.replay import (
+    REPLAY_WORKLOADS,
+    replay_golden_oracle,
+    replay_identity_oracle,
+)
 from repro.verify.tolerance import Check, failures, format_checks
 
 __all__ = ["GateReport", "run_verify", "DEFAULT_SEED"]
@@ -118,75 +128,10 @@ class GateReport:
         return "\n".join(lines)
 
 
-# -- gate cells (module level: picklable for parallel fan-out) --------------
-
-def _oracle_cell(workload_name: str, spec: str, candidate: str) -> list[Check]:
-    """One (workload, chip spec) cell of the oracle matrix."""
-    wls = {wl.name: wl for wl in oracle_workloads()}
-    return differential_oracle(
-        wls[workload_name],
-        candidates=(f"{candidate}:{spec}",),
-        reference=f"event:{spec}",
-    )
-
-
-def _work_parity_cell(workload_names: Sequence[str]) -> list[Check]:
-    names = set(workload_names)
-    wls = [wl for wl in oracle_workloads() if wl.name in names]
-    return work_parity_oracle(wls)
-
-
-def _fabric_identity_cell(kind: str) -> list[Check]:
-    """Single-chip == multi-chip byte identity for one SAR workload."""
-    from repro.verify.oracles import fabric_identity_oracle
-
-    return fabric_identity_oracle(kind)
-
-
-def _fabric_timing_cell(spec: str) -> list[Check]:
-    """Analytic-vs-event banding of the fabric FFBP executive."""
-    from repro.verify.oracles import fabric_timing_oracle
-
-    return fabric_timing_oracle(spec)
-
-
-def _replay_identity_cell(workload: str, spec: str) -> list[Check]:
-    """Cold-vs-capture-vs-hit byte identity of the replay tier."""
-    from repro.verify.replay import replay_identity_oracle
-
-    return replay_identity_oracle(workload, spec)
-
-
-def _replay_golden_cell(name: str, spec: str) -> list[Check]:
-    """One golden fingerprint rebuilt under ``replay(event:<spec>)``."""
-    from repro.verify.replay import replay_golden_oracle
-
-    return replay_golden_oracle(name, spec)
-
-
-def _golden_verify_cell(name: str, root: str | None) -> list[Check]:
-    return verify_golden(name, root)
-
-
 def _golden_update_cell(name: str, root: str | None) -> list[Check]:
+    """Regenerate one snapshot; a module-level function, so it pickles."""
     path = update_golden(name, root)
     return [Check(name=f"{name}.updated", passed=True, note=str(path))]
-
-
-def _fuzz_cell(name: str, seed: int, cases: int) -> list[Check]:
-    return FUZZ_DRIVERS[name](seed, cases)
-
-
-def _chaos_cell(backend: str, case_range: tuple[int, int], seed: int) -> list[Check]:
-    from repro.verify.chaos import chaos_cell
-
-    return chaos_cell(backend, range(*case_range), seed)
-
-
-def _chaos_serve_cell(case_range: tuple[int, int], seed: int) -> list[Check]:
-    from repro.verify.chaos import chaos_serve_cell
-
-    return chaos_serve_cell(range(*case_range), seed)
 
 
 def run_verify(
@@ -254,30 +199,20 @@ def run_verify(
             cell(
                 f"oracle/{wl.name}/{spec}",
                 f"oracle[{wl.name}]",
-                _oracle_cell,
-                (wl.name, spec, candidate),
+                differential_oracle,
+                (wl, (f"{candidate}:{spec}",), f"event:{spec}"),
             )
     cell(
         "oracle/cpu-work-parity",
         "oracle[cpu-work-parity]",
-        _work_parity_cell,
-        (tuple(wl.name for wl in workloads),),
+        work_parity_oracle,
+        (tuple(workloads),),
     )
 
     # -- 1b. fabric conformance (multi-chip == single-chip) -------------
     for kind in ("ffbp", "strip"):
-        cell(
-            f"fabric/identity/{kind}",
-            "fabric",
-            _fabric_identity_cell,
-            (kind,),
-        )
-    cell(
-        "fabric/timing/2x(e16)",
-        "fabric",
-        _fabric_timing_cell,
-        ("2x(e16)",),
-    )
+        cell(f"fabric/identity/{kind}", "fabric", fabric_identity_oracle, (kind,))
+    cell("fabric/timing/2x(e16)", "fabric", fabric_timing_oracle, ("2x(e16)",))
 
     # -- 1c. replay conformance (trace-compiled == cold event) ----------
     replay_workloads = ("ffbp_spmd16",) if quick else REPLAY_WORKLOADS
@@ -285,7 +220,7 @@ def run_verify(
         cell(
             f"replay/identity/{wl_name}",
             "replay",
-            _replay_identity_cell,
+            replay_identity_oracle,
             (wl_name, "e16"),
         )
     for name in ("traffic_counters",) if quick else (
@@ -296,7 +231,7 @@ def run_verify(
         cell(
             f"replay/golden/{name}",
             "replay",
-            _replay_golden_cell,
+            replay_golden_oracle,
             (name, "e16"),
         )
 
@@ -316,45 +251,41 @@ def run_verify(
             cell(
                 f"golden/verify/{name}",
                 "golden",
-                _golden_verify_cell,
+                verify_golden,
                 (name, root),
                 cacheable=False,
             )
 
     # -- 3. fuzz drivers ------------------------------------------------
     if not skip_fuzz:
-        for name in FUZZ_DRIVERS:
+        for name, driver in FUZZ_DRIVERS.items():
             cell(
                 f"fuzz/{name}/{seed}/{cases}",
                 f"fuzz[{name}]",
-                _fuzz_cell,
-                (name, seed, cases),
+                driver,
+                (seed, cases),
             )
 
     # -- 4. chaos gate (opt-in) -----------------------------------------
-    if chaos_cases > 0:
-        from repro.verify.chaos import CHAOS_BACKENDS
-
-        for backend in CHAOS_BACKENDS:
-            for lo in range(0, chaos_cases, CHAOS_CHUNK):
-                hi = min(lo + CHAOS_CHUNK, chaos_cases)
-                cell(
-                    f"chaos/{backend}/{seed}/{lo}-{hi}",
-                    f"chaos[{backend}]",
-                    _chaos_cell,
-                    (backend, (lo, hi), seed),
-                )
+    for backend in CHAOS_BACKENDS:
+        for lo in range(0, chaos_cases, CHAOS_CHUNK):
+            hi = min(lo + CHAOS_CHUNK, chaos_cases)
+            cell(
+                f"chaos/{backend}/{seed}/{lo}-{hi}",
+                f"chaos[{backend}]",
+                chaos_cell,
+                (backend, range(lo, hi), seed),
+            )
 
     # -- 5. serve-level chaos gate (opt-in) -----------------------------
-    if chaos_serve_cases > 0:
-        for lo in range(0, chaos_serve_cases, CHAOS_CHUNK):
-            hi = min(lo + CHAOS_CHUNK, chaos_serve_cases)
-            cell(
-                f"chaos-serve/{seed}/{lo}-{hi}",
-                "chaos-serve",
-                _chaos_serve_cell,
-                ((lo, hi), seed),
-            )
+    for lo in range(0, chaos_serve_cases, CHAOS_CHUNK):
+        hi = min(lo + CHAOS_CHUNK, chaos_serve_cases)
+        cell(
+            f"chaos-serve/{seed}/{lo}-{hi}",
+            "chaos-serve",
+            chaos_serve_cell,
+            (range(lo, hi), seed),
+        )
 
     runner = ExperimentRunner(jobs=jobs, root_seed=seed)
     results = runner.run(tasks)

@@ -33,6 +33,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
+from repro.verify.oracles import EXACT_TRACE_FIELDS, RunInputs, verify_run
 from repro.verify.tolerance import Check, Tolerance, check_equal, check_value
 
 __all__ = [
@@ -87,12 +88,6 @@ def _clean(obj: Any) -> Any:
 # Fingerprint builders
 # ---------------------------------------------------------------------------
 
-def _small_cfg():
-    from repro.sar.config import RadarConfig
-
-    return RadarConfig.small(n_pulses=256, n_ranges=257)
-
-
 def table1_fingerprint(backend: str = "event:e16") -> dict:
     """Table-I shaped metrics at the reduced verification scale.
 
@@ -102,9 +97,8 @@ def table1_fingerprint(backend: str = "event:e16") -> dict:
     """
     from repro.eval.energy import energy_efficiency_ratios
     from repro.eval.table1 import autofocus_table, ffbp_table
-    from repro.kernels.ffbp_common import plan_ffbp
 
-    ffbp = ffbp_table(plan=plan_ffbp(_small_cfg()), backend=backend)
+    ffbp = ffbp_table(plan=RunInputs().plan, backend=backend)
     af = autofocus_table(backend=backend)
     rows: dict[str, dict] = {}
     for table in (ffbp, af):
@@ -135,12 +129,9 @@ def table1_fingerprint(backend: str = "event:e16") -> dict:
 
 def profile_fingerprint(backend: str = "event:e16") -> dict:
     """Per-core cycle-breakdown histogram of the parallel FFBP run."""
-    from repro.kernels.ffbp_common import plan_ffbp
-    from repro.kernels.ffbp_spmd import run_ffbp_spmd
-    from repro.machine.backends import get_machine
     from repro.machine.profile import profile_run
 
-    res = run_ffbp_spmd(get_machine(backend), plan_ffbp(_small_cfg()), 16)
+    res = verify_run("ffbp_spmd16", backend, RunInputs())
     # strict: a backend whose traces overcommit (compute + stall > run
     # total) must fail the gate loudly, not fingerprint a profile whose
     # clamped idle fraction silently hides the inconsistency.
@@ -173,24 +164,9 @@ def traffic_fingerprint(backend: str = "event:e16") -> dict:
     These are exact-contract counters (every backend replays the same
     generators), so the stored integers are compared bit-for-bit.
     """
-    from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
-    from repro.kernels.ffbp_common import plan_ffbp
-    from repro.kernels.ffbp_spmd import run_ffbp_spmd
-    from repro.kernels.opcounts import AutofocusWorkload
-    from repro.machine.backends import get_machine
-    from repro.verify.oracles import EXACT_TRACE_FIELDS
-
-    runs = {
-        "ffbp_spmd16": run_ffbp_spmd(
-            get_machine(backend), plan_ffbp(_small_cfg()), 16
-        ),
-        "autofocus_mpmd": run_autofocus_mpmd(
-            get_machine(backend), AutofocusWorkload()
-        ),
-    }
     out: dict[str, Any] = {"backend": backend}
-    for name, res in runs.items():
-        t = res.trace
+    for name in ("ffbp_spmd16", "autofocus_mpmd"):
+        t = verify_run(name, backend, RunInputs()).trace
         out[name] = {f: getattr(t, f) for f in EXACT_TRACE_FIELDS}
     return _clean(out)
 

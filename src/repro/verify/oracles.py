@@ -1,4 +1,4 @@
-"""Differential oracles: replay one workload on every backend.
+"""Differential oracles over one workload table.
 
 The machine-abstraction layer promises that a kernel generator has one
 meaning regardless of which engine interprets it.  That promise splits
@@ -16,27 +16,34 @@ into two contracts with different strengths:
   relative-or-absolute band of the calibrated event engine
   (:data:`CYCLES_TOL`, :data:`ENERGY_TOL`).
 
-:func:`differential_oracle` runs one :class:`Workload` on a reference
-backend and a set of candidates and emits :class:`~repro.verify.
-tolerance.Check` records for every clause; :func:`work_parity_oracle`
-adds the CPU-reference work comparison.
+Every contract of the gate runs its kernels from one table,
+:data:`WORKLOADS` (name -> ``runner(machine, inputs)``), and reads its
+runs through :func:`verify_run`, which makes each (workload, backend,
+inputs) run once per process.  :func:`differential_oracle` compares one
+:class:`Workload` on a reference backend and a set of candidates;
+:func:`work_parity_oracle` adds the CPU-reference work comparison.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
 from repro.kernels.autofocus_seq import run_autofocus_seq_epiphany
 from repro.kernels.cpu_ref import run_autofocus_cpu, run_ffbp_cpu
-from repro.kernels.ffbp_common import FfbpPlan, plan_ffbp
+from repro.kernels.ffbp_common import PREFETCH_WINDOW_BYTES, FfbpPlan, plan_ffbp
+from repro.kernels.ffbp_fabric import run_ffbp_fabric
 from repro.kernels.ffbp_seq import run_ffbp_seq_epiphany
 from repro.kernels.ffbp_spmd import run_ffbp_spmd
+from repro.kernels.gbp_ref import run_gbp_spmd
 from repro.kernels.opcounts import AutofocusWorkload
 from repro.machine.api import Machine, RunResult
-from repro.machine.backends import get_machine
+from repro.machine.backends import get_machine, resolve_backend
+from repro.machine.core import OpBlock
 from repro.machine.cpu import CpuMachine
+from repro.perf import memo_key, memoize
+from repro.runtime.dataflow import linear_chain
 from repro.sar.config import RadarConfig
 from repro.verify.tolerance import (
     Check,
@@ -46,10 +53,14 @@ from repro.verify.tolerance import (
 )
 
 __all__ = [
+    "CPU_REFERENCE",
     "CYCLES_TOL",
     "ENERGY_TOL",
     "EXACT_TRACE_FIELDS",
+    "RunInputs",
+    "WORKLOADS",
     "Workload",
+    "verify_run",
     "oracle_workloads",
     "differential_oracle",
     "work_parity_oracle",
@@ -80,21 +91,86 @@ EXACT_TRACE_FIELDS: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class Workload:
-    """One replayable kernel workload.
+class RunInputs:
+    """Everything a table workload reads besides its machine.
 
-    ``run`` executes it on any :class:`~repro.machine.api.Machine`;
-    ``cpu_run`` (optional) executes the sequential CPU reference whose
-    operation counters must match bit-for-bit.  ``min_cores`` lets the
-    oracle skip backends whose chip is too small.  ``quick`` marks the
-    subset the fast gate replays.
+    The default geometry (256 pulses x 257 ranges) is the smallest
+    scale at which fixed costs (pipeline fill, first-touch DMA) do not
+    dominate the analytic-vs-event parity ratio -- the same reasoning
+    as ``tests/machine/test_analytic.py``.
+    """
+
+    cfg: RadarConfig = field(
+        default_factory=lambda: RadarConfig.small(n_pulses=256, n_ranges=257)
+    )
+    window_bytes: int = PREFETCH_WINDOW_BYTES
+    work: AutofocusWorkload = field(default_factory=AutofocusWorkload)
+
+    @property
+    def plan(self) -> FfbpPlan:
+        return plan_ffbp(self.cfg, self.window_bytes)
+
+
+def _linear_chain(machine: Machine, inputs: RunInputs) -> RunResult:
+    works = [OpBlock(flops=64.0 * (i + 1)) for i in range(4)]
+    return linear_chain(works, payload=256).run(machine, firings=8)
+
+
+WORKLOADS: dict[str, Callable[[Machine, RunInputs], RunResult]] = {
+    "ffbp_spmd16": lambda m, i: run_ffbp_spmd(m, i.plan, 16),
+    "ffbp_spmd4": lambda m, i: run_ffbp_spmd(m, i.plan, 4),
+    "ffbp_seq": lambda m, i: run_ffbp_seq_epiphany(m, i.plan),
+    "ffbp_fabric": lambda m, i: run_ffbp_fabric(m, i.plan),
+    "autofocus_mpmd": lambda m, i: run_autofocus_mpmd(m, i.work),
+    "autofocus_seq": lambda m, i: run_autofocus_seq_epiphany(m, i.work),
+    "gbp_spmd16": lambda m, i: run_gbp_spmd(m, i.cfg, 16),
+    "linear_chain": _linear_chain,
+}
+"""Every kernel run the gate checks: name -> ``runner(machine, inputs)``.
+The name fixes the kernel and its core count; :class:`RunInputs`
+carries the rest."""
+
+CPU_REFERENCE: dict[str, Callable[[RunInputs], Any]] = {
+    "ffbp": lambda i: run_ffbp_cpu(CpuMachine(), i.plan),
+    "autofocus": lambda i: run_autofocus_cpu(CpuMachine(), i.work),
+}
+"""The i7 reference runs: kernel family -> ``runner(inputs)``."""
+
+
+def verify_run(name: str, backend: str, inputs: RunInputs) -> RunResult:
+    """Table workload ``name`` on a fresh ``backend`` machine, made once.
+
+    The result is kept in the process memo (memory only) under the
+    workload name, the backend spec string and every input, so every
+    contract that asks for the same run in one process shares it.
+    Contracts that observe the machine itself (recorders, replay
+    statistics, injected faults) call the :data:`WORKLOADS` runner on
+    machines of their own instead.
+    """
+    return memoize(
+        memo_key("verify/run", (name, backend, inputs)),
+        lambda: WORKLOADS[name](get_machine(backend), inputs),
+    )
+
+
+@dataclass(frozen=True)
+class Workload:
+    """One oracle workload: a :data:`WORKLOADS` name and its inputs.
+
+    ``cpu`` names the :data:`CPU_REFERENCE` run whose operation
+    counters must match bit-for-bit (``None``: no reference).
+    ``min_cores`` lets the oracle skip backends whose chip is too
+    small.  ``quick`` marks the subset the fast gate replays.
     """
 
     name: str
-    run: Callable[[Machine], RunResult]
-    cpu_run: Callable[[], Any] | None = None
+    inputs: RunInputs = field(default_factory=RunInputs)
+    cpu: str | None = None
     min_cores: int = 1
     quick: bool = True
+
+    def run(self, backend: str) -> RunResult:
+        return verify_run(self.name, backend, self.inputs)
 
 
 def oracle_workloads(
@@ -103,47 +179,22 @@ def oracle_workloads(
     plan: FfbpPlan | None = None,
 ) -> tuple[Workload, ...]:
     """The standard oracle suite: FFBP SPMD/sequential + autofocus
-    MPMD/sequential.
-
-    The default configuration (256 pulses x 257 ranges) is the smallest
-    scale at which fixed costs (pipeline fill, first-touch DMA) do not
-    dominate the analytic-vs-event parity ratio -- the same reasoning
-    as ``tests/machine/test_analytic.py``.
-    """
-    if plan is None:
-        cfg = cfg or RadarConfig.small(n_pulses=256, n_ranges=257)
-        plan = plan_ffbp(cfg)
-    w = work or AutofocusWorkload()
+    MPMD/sequential, at the :class:`RunInputs` defaults unless a
+    geometry (``cfg``, or the ``plan`` built from one) or an autofocus
+    ``work`` is given."""
+    inputs = RunInputs()
+    if plan is not None:
+        inputs = replace(inputs, cfg=plan.cfg, window_bytes=plan.window_bytes)
+    elif cfg is not None:
+        inputs = replace(inputs, cfg=cfg)
+    if work is not None:
+        inputs = replace(inputs, work=work)
     return (
-        Workload(
-            name="ffbp_spmd16",
-            run=lambda m: run_ffbp_spmd(m, plan, 16),
-            cpu_run=lambda: run_ffbp_cpu(CpuMachine(), plan),
-            min_cores=16,
-        ),
-        Workload(
-            name="ffbp_spmd4",
-            run=lambda m: run_ffbp_spmd(m, plan, 4),
-            min_cores=4,
-            quick=False,
-        ),
-        Workload(
-            name="ffbp_seq",
-            run=lambda m: run_ffbp_seq_epiphany(m, plan),
-            cpu_run=lambda: run_ffbp_cpu(CpuMachine(), plan),
-            quick=False,
-        ),
-        Workload(
-            name="autofocus_mpmd",
-            run=lambda m: run_autofocus_mpmd(m, w),
-            cpu_run=lambda: run_autofocus_cpu(CpuMachine(), w),
-            min_cores=13,
-        ),
-        Workload(
-            name="autofocus_seq",
-            run=lambda m: run_autofocus_seq_epiphany(m, w),
-            cpu_run=lambda: run_autofocus_cpu(CpuMachine(), w),
-        ),
+        Workload("ffbp_spmd16", inputs, cpu="ffbp", min_cores=16),
+        Workload("ffbp_spmd4", inputs, min_cores=4, quick=False),
+        Workload("ffbp_seq", inputs, cpu="ffbp", quick=False),
+        Workload("autofocus_mpmd", inputs, cpu="autofocus", min_cores=13),
+        Workload("autofocus_seq", inputs, cpu="autofocus"),
     )
 
 
@@ -180,12 +231,10 @@ def _compare_runs(
         ),
     ]
     rt, ct = ref.trace, cand.trace
-    for field in EXACT_TRACE_FIELDS:
+    for name in EXACT_TRACE_FIELDS:
         checks.append(
             check_equal(
-                f"{prefix}.trace.{field}",
-                getattr(ct, field),
-                getattr(rt, field),
+                f"{prefix}.trace.{name}", getattr(ct, name), getattr(rt, name)
             )
         )
     return checks
@@ -205,29 +254,30 @@ def differential_oracle(
     are reported as skipped-passes (named, so a shrunk golden suite is
     visible rather than silent).
     """
-    ref_machine = get_machine(reference)
-    if ref_machine.n_cores < workload.min_cores:
+    ref_cores = resolve_backend(reference)[1].n_cores
+    if ref_cores < workload.min_cores:
         raise ValueError(
-            f"reference backend {reference!r} has {ref_machine.n_cores} "
+            f"reference backend {reference!r} has {ref_cores} "
             f"cores; workload {workload.name!r} needs {workload.min_cores}"
         )
-    ref = workload.run(ref_machine)
+    ref = workload.run(reference)
     checks: list[Check] = []
     for cand_name in candidates:
         prefix = f"{workload.name}[{cand_name} vs {reference}]"
-        machine = get_machine(cand_name)
-        if machine.n_cores < workload.min_cores:
+        cores = resolve_backend(cand_name)[1].n_cores
+        if cores < workload.min_cores:
             checks.append(
                 Check(
                     name=f"{prefix}.skipped",
                     passed=True,
-                    note=f"chip too small ({machine.n_cores} cores)",
+                    note=f"chip too small ({cores} cores)",
                 )
             )
             continue
-        cand = workload.run(machine)
         checks.extend(
-            _compare_runs(prefix, ref, cand, cycles_tol, energy_tol)
+            _compare_runs(
+                prefix, ref, workload.run(cand_name), cycles_tol, energy_tol
+            )
         )
     return checks
 
@@ -323,17 +373,14 @@ def fabric_timing_oracle(
     event and analytic builds of one fabric spec: exact counters and
     results (same generators), banded cycles/energy (the single-chip
     analytic contract, which the phased executive must not loosen).
-    The default scale matches :func:`oracle_workloads` -- 256x257 is
-    the smallest scale at which fixed costs (pipeline fill, first-touch
+    The default scale is the :class:`RunInputs` one -- 256x257 is the
+    smallest scale at which fixed costs (pipeline fill, first-touch
     DMA, and here the one-shot e-link wait) stop dominating the parity
     ratio.
     """
-    from repro.kernels.ffbp_fabric import run_ffbp_fabric
-
-    cfg = cfg or RadarConfig.small(n_pulses=256, n_ranges=257)
-    plan = plan_ffbp(cfg)
-    ref = run_ffbp_fabric(get_machine(f"event:{spec}"), plan)
-    cand = run_ffbp_fabric(get_machine(f"analytic:{spec}"), plan)
+    inputs = RunInputs(cfg) if cfg is not None else RunInputs()
+    ref = verify_run("ffbp_fabric", f"event:{spec}", inputs)
+    cand = verify_run("ffbp_fabric", f"analytic:{spec}", inputs)
     prefix = f"ffbp_fabric[analytic:{spec} vs event:{spec}]"
     return _compare_runs(prefix, ref, cand, cycles_tol, energy_tol)
 
@@ -350,10 +397,10 @@ def work_parity_oracle(
     """
     checks: list[Check] = []
     for wl in workloads:
-        if wl.cpu_run is None:
+        if wl.cpu is None:
             continue
-        epi = wl.run(get_machine(reference)).trace
-        cpu = wl.cpu_run().trace
+        epi = wl.run(reference).trace
+        cpu = CPU_REFERENCE[wl.cpu](wl.inputs).trace
         checks.append(
             check_equal(
                 f"{wl.name}.work.total_flops",

@@ -20,13 +20,19 @@ activity-recorder intervals.  Two oracles enforce the contract:
   Table-I / profile / traffic derivation pipelines.
 
 Both oracles are pure functions of the source tree, so they are safe
-to run as cacheable gate cells at any ``--jobs`` level.
+to run as cacheable gate cells at any ``--jobs`` level.  The identity
+oracle observes its machines (recorders, replay statistics), so it
+calls the :data:`~repro.verify.oracles.WORKLOADS` runners on fresh
+machines of its own rather than sharing runs through
+:func:`~repro.verify.oracles.verify_run`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.sar.config import RadarConfig
+from repro.verify.oracles import EXACT_TRACE_FIELDS, WORKLOADS, RunInputs
 from repro.verify.tolerance import Check
 
 __all__ = [
@@ -44,20 +50,16 @@ REPLAY_WORKLOADS: tuple[str, ...] = (
     "gbp_spmd16",
     "linear_chain",
 )
-"""One workload per kernel builder that declares a replay key: the
-FFBP SPMD and sequential kernels, the autofocus MPMD pipeline and
-sequential kernel, SPMD GBP, and a generated dataflow pipeline."""
+"""One :data:`~repro.verify.oracles.WORKLOADS` entry per kernel builder
+that declares a replay key: the FFBP SPMD and sequential kernels, the
+autofocus MPMD pipeline and sequential kernel, SPMD GBP, and a
+generated dataflow pipeline."""
 
-REPLAY_TRACE_FIELDS: tuple[str, ...] = (
-    "total_flops",
-    "ext_read_bytes",
-    "ext_write_bytes",
-    "remote_read_bytes",
-    "remote_write_bytes",
-    "messages_sent",
-    "messages_received",
-    "barriers",
-    "dma_transfers",
+REPLAY_INPUTS = RunInputs(cfg=RadarConfig.small(n_pulses=64, n_ranges=65))
+"""The replay oracle's geometry: 64x65 keeps three runs per workload
+cheap."""
+
+REPLAY_TRACE_FIELDS: tuple[str, ...] = EXACT_TRACE_FIELDS + (
     "compute_cycles",
     "stall_cycles",
 )
@@ -128,48 +130,6 @@ def _identity_checks(prefix: str, ref: Any, cand: Any) -> list[Check]:
     return checks
 
 
-def _small_plan():
-    from repro.kernels.ffbp_common import plan_ffbp
-    from repro.sar.config import RadarConfig
-
-    return plan_ffbp(RadarConfig.small(n_pulses=64, n_ranges=65))
-
-
-def _run_workload(machine: Any, workload: str) -> Any:
-    from repro.kernels.opcounts import AutofocusWorkload
-
-    if workload == "ffbp_spmd16":
-        from repro.kernels.ffbp_spmd import run_ffbp_spmd
-
-        return run_ffbp_spmd(machine, _small_plan(), 16)
-    if workload == "autofocus_mpmd":
-        from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
-
-        return run_autofocus_mpmd(machine, AutofocusWorkload())
-    if workload == "ffbp_seq":
-        from repro.kernels.ffbp_seq import run_ffbp_seq_epiphany
-
-        return run_ffbp_seq_epiphany(machine, _small_plan())
-    if workload == "autofocus_seq":
-        from repro.kernels.autofocus_seq import run_autofocus_seq_epiphany
-
-        return run_autofocus_seq_epiphany(machine, AutofocusWorkload())
-    if workload == "gbp_spmd16":
-        from repro.kernels.gbp_ref import run_gbp_spmd
-        from repro.sar.config import RadarConfig
-
-        return run_gbp_spmd(
-            machine, RadarConfig.small(n_pulses=64, n_ranges=65), 16
-        )
-    if workload == "linear_chain":
-        from repro.machine.core import OpBlock
-        from repro.runtime.dataflow import linear_chain
-
-        works = [OpBlock(flops=64.0 * (i + 1)) for i in range(4)]
-        return linear_chain(works, payload=256).run(machine, firings=8)
-    raise ValueError(f"unknown replay oracle workload {workload!r}")
-
-
 def replay_identity_oracle(
     workload: str = "ffbp_spmd16", spec: str = "e16"
 ) -> list[Check]:
@@ -186,21 +146,22 @@ def replay_identity_oracle(
     from repro.machine.tracing import ActivityRecorder
     from repro.perf import clear_memo
 
+    run = WORKLOADS[workload]
     clear_memo()  # the capture must happen inside this cell
     prefix = f"replay/{workload}/{spec}"
     checks: list[Check] = []
 
     cold_machine = get_machine(f"event:{spec}")
     cold_machine.recorder = ActivityRecorder()
-    cold = _run_workload(cold_machine, workload)
+    cold = run(cold_machine, REPLAY_INPUTS)
 
     capture_machine = get_machine(f"replay(event:{spec})")
     capture_machine.recorder = ActivityRecorder()
-    captured = _run_workload(capture_machine, workload)
+    captured = run(capture_machine, REPLAY_INPUTS)
 
     hit_machine = get_machine(f"replay(event:{spec})")
     hit_machine.recorder = ActivityRecorder()
-    hit = _run_workload(hit_machine, workload)
+    hit = run(hit_machine, REPLAY_INPUTS)
 
     checks.extend(_identity_checks(f"{prefix}.capture", cold, captured))
     checks.extend(_identity_checks(f"{prefix}.hit", cold, hit))

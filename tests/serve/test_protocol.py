@@ -261,6 +261,42 @@ class TestImageEnvelope:
         assert isinstance(req, ImageRequest)
 
 
+    def test_rda_range_line_too_short_for_its_stencil_is_refused(self):
+        """RDA's cubic RCMC stencil needs four range samples; three used
+        to pass decode and fail in the kernel as ``internal``."""
+        with pytest.raises(RequestError) as exc_info:
+            parse_request({"kind": "image", "algorithm": "rda", "ranges": 3})
+        assert exc_info.value.code == "bad-request"
+        assert "needs >= 4 samples, got 3" in exc_info.value.detail
+        req = parse_request({"kind": "image", "algorithm": "rda", "ranges": 4})
+        assert req.ranges == 4
+
+
+class TestProfileEnvelope:
+    """``cores`` is answered as asked, or refused: never clamped or
+    ignored behind a cache entry of its own."""
+
+    @pytest.mark.parametrize("cores", [17, 4096])
+    def test_cores_above_the_chip_are_refused(self, cores):
+        with pytest.raises(RequestError) as exc_info:
+            parse_request({"kind": "profile", "backend": "analytic:e16", "cores": cores})
+        assert exc_info.value.code == "bad-request"
+        assert "[1, 16]" in exc_info.value.detail
+
+    def test_cores_with_autofocus_are_refused(self):
+        with pytest.raises(RequestError) as exc_info:
+            parse_request({"kind": "profile", "kernel": "autofocus", "cores": 8})
+        assert exc_info.value.code == "bad-request"
+        assert "'cores' applies to the ffbp kernel" in exc_info.value.detail
+
+    def test_default_cores_fit_the_chip(self):
+        assert parse_request({"kind": "profile"}).cores == 16
+        assert parse_request({"kind": "profile", "backend": "analytic:2x2"}).cores == 4
+        assert parse_request({"kind": "profile", "kernel": "autofocus", "cores": 16}).cores == 16
+        assert parse_request({"kind": "profile", "cores": 8}).cores == 8
+        assert parse_request({"kind": "profile", "backend": "analytic:e64", "cores": 64}).cores == 64
+
+
 class TestArrayTransport:
     def test_round_trip_complex(self):
         rng = np.random.default_rng(7)

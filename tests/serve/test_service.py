@@ -8,6 +8,7 @@ exactly as ``repro serve`` runs them.
 
 import asyncio
 import json
+import logging
 import multiprocessing
 import os
 import struct
@@ -723,6 +724,49 @@ class TestLifecycle:
 
         frame = asyncio.run(main())
         assert frame["type"] == "ok"
+
+    def test_close_waits_for_the_connected_handlers(self, caplog):
+        """``close()`` returns with no connection handler left running,
+        so ``asyncio.run`` has none to cancel (and log) at teardown."""
+
+        async def main():
+            service = ImageService(ServeSettings(**FAST))
+            await service.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            await send_recv(reader, writer, {"kind": "health", "id": "h"})
+            await service.close()
+            left = service._connections
+            writer.close()
+            return left
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            left = asyncio.run(main())
+        assert left == 0
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_close_aborts_a_peer_that_does_not_read(self, monkeypatch):
+        """A peer that never reads its last frames cannot hold shutdown:
+        after the grace period its connection is aborted."""
+        monkeypatch.setattr(service_module, "CLOSE_GRACE_S", 0.2)
+
+        async def main():
+            service = ImageService(ServeSettings(**FAST))
+            await service.start()
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            await send_recv(reader, writer, {"kind": "health", "id": "h"})
+            # More bytes than the loopback socket buffers hold: the
+            # server's transport keeps the rest, unread.
+            (server_writer,) = service._handlers
+            server_writer.write(b"\x00" * (32 << 20))
+            t0 = time.monotonic()
+            await asyncio.wait_for(service.close(), timeout=10)
+            elapsed = time.monotonic() - t0
+            writer.close()
+            return service._connections, elapsed
+
+        left, elapsed = asyncio.run(main())
+        assert left == 0
+        assert elapsed < 5
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

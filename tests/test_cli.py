@@ -213,10 +213,32 @@ class TestFabricCli:
         assert "Traceback" not in err
 
     def test_image_shards_must_divide_the_tree(self, capsys):
-        rc = main(["image", "--algorithm", "ffbp", "--pulses", "64",
-                   "--ranges", "65", "--shards", "3"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc_info:
+            main(["image", "--algorithm", "ffbp", "--pulses", "64",
+                  "--ranges", "65", "--shards", "3"])
+        assert exc_info.value.code == 2
         assert "power of merge base" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["--pulses", "1"], "'pulses' must be in [2, 4096], got 1"),
+            (["--algorithm", "rda", "--ranges", "3"], "needs >= 4 samples, got 3"),
+            (["--width", "0"], "--width: must be >= 1, got 0"),
+            (["--height", "0"], "--height: must be >= 1, got 0"),
+        ],
+        ids=["one-pulse", "rda-three-ranges", "zero-width", "zero-height"],
+    )
+    def test_image_refuses_what_the_protocol_refuses(self, argv, bound, capsys):
+        """The CLI admits the protocol's image envelope: each refusal
+        exits 2 naming the bound, before any simulation."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["image", "--pulses", "64", "--ranges", "65", *argv])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert bound in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_sweep_ffbp_chips(self, capsys):
         rc = main(["sweep", "ffbp-chips", "--chips", "1,2",

@@ -15,7 +15,7 @@ from repro.verify.chaos import (
     random_plan,
     run_chaos_case,
 )
-from repro.verify.gate import DEFAULT_SEED, _chaos_cell
+from repro.verify.gate import DEFAULT_SEED
 
 SMOKE_CASES = 6
 
@@ -97,8 +97,8 @@ class TestJobsIndependence:
         tasks = [
             TaskSpec(
                 key=f"chaos/{backend}/{lo}",
-                fn=_chaos_cell,
-                args=(backend, (lo, lo + 3), DEFAULT_SEED),
+                fn=chaos_cell,
+                args=(backend, range(lo, lo + 3), DEFAULT_SEED),
             )
             for lo in range(0, 12, 3)
         ]

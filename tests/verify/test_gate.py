@@ -1,9 +1,18 @@
-"""The ``repro verify`` gate: exit codes, update workflow, reporting."""
+"""The ``repro verify`` gate: exit codes, update workflow, reporting,
+shared runs, and seeded bugs it must catch."""
+
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.machine.analytic import AnalyticMachine
+from repro.machine.chip import EpiphanyChip
+from repro.perf import clear_memo
+from repro.sar.config import RadarConfig
 from repro.verify.gate import DEFAULT_SEED, GateReport, run_verify
 from repro.verify.golden import FINGERPRINTS, golden_path, load_golden, save_golden
+from repro.verify.oracles import WORKLOADS, RunInputs, verify_run
 from repro.verify.tolerance import Check
 
 
@@ -88,3 +97,121 @@ class TestRunVerify:
             quick=True, skip_fuzz=True, golden_root=tmp_path, out=_quiet
         )
         assert rc == 1
+
+
+@pytest.fixture()
+def fresh_memo():
+    """Start from an empty memo, as ``repro verify`` does, and leave no
+    run behind: a test that seeds a bug must not share its runs."""
+    clear_memo()
+    yield
+    clear_memo()
+
+
+@pytest.fixture()
+def event_runs(monkeypatch):
+    """Cycle count -> number of cold ``event`` chip runs that ended there."""
+    counts: Counter = Counter()
+    run = EpiphanyChip.run
+
+    def counting(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        counts[result.cycles] += 1
+        return result
+
+    monkeypatch.setattr(EpiphanyChip, "run", counting)
+    return counts
+
+
+def _failed_sections(lines: list[str]) -> set[str]:
+    """Names of the report sections with at least one failed check."""
+    return {
+        line[3:].split(":")[0]
+        for line in "\n".join(lines).splitlines()
+        if line.startswith("-- ") and "FAILED" in line
+    }
+
+
+@pytest.mark.usefixtures("fresh_memo")
+class TestSharedRuns:
+    def test_quick_gate_makes_each_cold_run_at_most_four_times(
+        self, event_runs
+    ):
+        inputs = RunInputs()
+        cycles = {
+            name: WORKLOADS[name](EpiphanyChip(), inputs).cycles
+            for name in ("ffbp_spmd16", "autofocus_mpmd")
+        }
+        event_runs.clear()
+        assert run_verify(quick=True, skip_fuzz=True, out=_quiet) == 0
+        # One oracle reference run, the eval/table1 row, and the replay
+        # section's event run and capture after its clear_memo().
+        for name, n in cycles.items():
+            assert 1 <= event_runs[n] <= 4, (name, event_runs[n])
+
+    def test_two_scales_of_one_workload_do_not_share_a_run(self, event_runs):
+        small = RunInputs(cfg=RadarConfig.small(n_pulses=16, n_ranges=17))
+        larger = RunInputs(cfg=RadarConfig.small(n_pulses=32, n_ranges=33))
+        a = verify_run("ffbp_spmd16", "event:e16", small)
+        b = verify_run("ffbp_spmd16", "event:e16", larger)
+        assert a.cycles != b.cycles
+        assert sum(event_runs.values()) == 2
+        narrower = replace(small, window_bytes=small.window_bytes // 2)
+        verify_run("ffbp_spmd16", "event:e16", narrower)
+        assert sum(event_runs.values()) == 3
+        # The same inputs again are served from the memo.
+        assert verify_run("ffbp_spmd16", "event:e16", small) is a
+        assert sum(event_runs.values()) == 3
+
+
+@pytest.mark.usefixtures("fresh_memo")
+class TestSeededBugs:
+    """The shared-run gate still catches bugs planted in each layer."""
+
+    def _gate(self) -> tuple[int, set[str]]:
+        lines: list[str] = []
+        rc = run_verify(quick=True, skip_fuzz=True, out=lines.append)
+        return rc, _failed_sections(lines)
+
+    def test_analytic_cycles_ten_percent_high(self, monkeypatch):
+        run = AnalyticMachine.run
+
+        def slow(self, *args, **kwargs):
+            res = run(self, *args, **kwargs)
+            return replace(res, cycles=int(res.cycles * 1.1))
+
+        monkeypatch.setattr(AnalyticMachine, "run", slow)
+        rc, failed = self._gate()
+        assert rc == 1
+        assert "oracle[ffbp_spmd16]" in failed
+        assert "oracle[autofocus_mpmd]" in failed
+
+    def test_event_trace_counter_off_by_one(self, monkeypatch):
+        run = EpiphanyChip.run
+
+        def miscount(self, *args, **kwargs):
+            res = run(self, *args, **kwargs)
+            first = replace(
+                res.traces[0], dma_transfers=res.traces[0].dma_transfers + 1
+            )
+            return replace(res, traces=(first, *res.traces[1:]))
+
+        monkeypatch.setattr(EpiphanyChip, "run", miscount)
+        rc, failed = self._gate()
+        assert rc == 1
+        assert "oracle[ffbp_spmd16]" in failed
+        assert "golden" in failed
+
+    def test_replay_restore_perturbs_energy(self, monkeypatch):
+        from repro.replay import machine as replay_machine
+
+        apply = replay_machine.apply_schedule
+
+        def perturbed(chip, sched):
+            res = apply(chip, sched)
+            return replace(res, energy_joules=res.energy_joules * 1.001)
+
+        monkeypatch.setattr(replay_machine, "apply_schedule", perturbed)
+        rc, failed = self._gate()
+        assert rc == 1
+        assert failed == {"replay"}
