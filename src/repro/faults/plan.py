@@ -227,10 +227,6 @@ class FaultPlan:
         return tuple(f for f in self.faults if isinstance(f, CoreFault))
 
     @property
-    def link_faults(self) -> tuple[LinkFault, ...]:
-        return tuple(f for f in self.faults if isinstance(f, LinkFault))
-
-    @property
     def dma_faults(self) -> tuple[DmaFault, ...]:
         return tuple(f for f in self.faults if isinstance(f, DmaFault))
 

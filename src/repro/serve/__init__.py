@@ -12,7 +12,7 @@ load generator / latency-percentile harness (``repro load``), emitting
 one ``repro-load/1`` JSON document per run.
 """
 
-from repro.serve.load import LOAD_SCHEMA, format_load, run_load, run_load_sync
+from repro.serve.load import LOAD_SCHEMA, format_load, run_load
 from repro.serve.resilience import (
     AdmissionController,
     CircuitBreaker,
@@ -48,7 +48,6 @@ __all__ = [
     "decode_array",
     "parse_request",
     "run_load",
-    "run_load_sync",
     "format_load",
     "AdmissionController",
     "CircuitBreaker",

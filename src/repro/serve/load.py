@@ -53,7 +53,6 @@ __all__ = [
     "LOAD_SCHEMA",
     "STRUCTURED_ERROR_CODES",
     "run_load",
-    "run_load_sync",
     "format_load",
     "percentile",
 ]
@@ -234,11 +233,6 @@ async def run_load(
             )
         },
     }
-
-
-def run_load_sync(*args, **kwargs) -> dict[str, Any]:
-    """Synchronous wrapper around :func:`run_load` (CLI entry)."""
-    return asyncio.run(run_load(*args, **kwargs))
 
 
 def _ms(value: float | None) -> str:

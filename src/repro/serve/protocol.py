@@ -14,17 +14,23 @@ kind, a bad field, an unknown backend spec -- maps to a structured
 connection stays usable for the next frame.  Only a truncated frame
 (the peer died mid-send) closes the connection.  A bad field includes
 an FFBP image or profile the kernels cannot form (the detail names the
-bound, from :func:`repro.sar.shard.check_ffbp`) and an option that
-would be a silent no-op: ``shards``/``interpolation``/
-``phase_correction`` with gbp or rda, ``phase_correction`` with a
-non-nearest interpolation.  An image whose result could not fit in a
-frame is refused ``oversized`` (:func:`result_frame_bound`).
+bound, from :func:`repro.sar.shard.check_ffbp`), an autofocus profile
+on a chip whose mesh cannot hold its placement, and an option that
+would be a silent no-op or a wrong answer: ``shards``/
+``interpolation``/``phase_correction``/``stream`` with gbp or rda,
+``phase_correction`` with a non-nearest interpolation, ``stream_data``
+without ``stream``.  An image whose result could not fit in a frame is
+refused ``oversized`` (:func:`result_frame_bound`).
 
 Request vocabulary (``kind`` field):
 
 - ``image``    simulate a scene and form an image (ffbp/gbp/rda); with
   ``"stream": true`` the FFBP merge levels stream back as ``partial``
-  frames while they complete,
+  frames while they complete (``"stream_data": true`` adds each
+  stage's bytes).  A streamed request answered from the response
+  cache gets its ``result`` alone: partials report the progress of a
+  compute.  A stream retried after a broken pool streams again from
+  level 0,
 - ``profile``  run a kernel timing model on a registry backend spec
   and return cycles/energy (watchdog-guarded; a stall comes back as a
   structured error with its blame report),
@@ -43,7 +49,7 @@ only keys they ignore):
   (in-flight budget or per-connection cap exhausted, or the server is
   draining for shutdown); the response carries a ``retry_after_ms``
   hint,
-- ``retries`` on batched terminal responses -- how many seeded-backoff
+- ``retries`` on work-request terminal responses -- how many seeded-backoff
   retries the server spent before this answer,
 - ``degraded: true`` plus ``degraded_to`` -- the circuit breaker
   tripped on the requested backend and the answer was computed on the
@@ -161,18 +167,15 @@ async def read_frame(reader, max_bytes: int = MAX_FRAME_BYTES) -> dict | None:
     if length > max_bytes:
         # Drain the oversized body so the next frame starts aligned.
         remaining = length
-        try:
-            while remaining:
-                chunk = await reader.read(min(remaining, 1 << 16))
-                if not chunk:
-                    raise ProtocolError(
-                        "truncated",
-                        "connection closed inside an oversized frame",
-                        recoverable=False,
-                    )
-                remaining -= len(chunk)
-        except ProtocolError:
-            raise
+        while remaining:
+            chunk = await reader.read(min(remaining, 1 << 16))
+            if not chunk:
+                raise ProtocolError(
+                    "truncated",
+                    "connection closed inside an oversized frame",
+                    recoverable=False,
+                )
+            remaining -= len(chunk)
         raise ProtocolError(
             "oversized",
             f"frame of {length} bytes exceeds the {max_bytes}-byte limit",
@@ -360,6 +363,8 @@ def check_image(
     shards: int = 1,
     interpolation: str = "nearest",
     phase_correction: bool = False,
+    stream: bool = False,
+    stream_data: bool = False,
 ) -> None:
     """Refuse image work the kernels could not answer, naming the bound.
 
@@ -368,8 +373,10 @@ def check_image(
     (``bad-request``) for a size outside the protocol's limits, FFBP
     work :func:`repro.sar.shard.check_ffbp` refuses, an RDA range line
     too short for its cubic RCMC stencil (:func:`repro.sar.rda.
-    check_rda`), or an FFBP-only option on another algorithm (a silent
-    no-op that would still split the response cache).
+    check_rda`), an FFBP-only option on another algorithm (a silent
+    no-op that would still split the response cache, or -- for
+    ``stream`` -- an FFBP answer to a gbp/rda request), or
+    ``stream_data`` without ``stream`` (a silent no-op).
     """
     from repro.sar.rda import check_rda
     from repro.sar.shard import check_ffbp
@@ -381,6 +388,7 @@ def check_image(
             ("shards", shards, 1),
             ("interpolation", interpolation, "nearest"),
             ("phase_correction", phase_correction, False),
+            ("stream", stream, False),
         ):
             if value != default:
                 raise RequestError(
@@ -388,6 +396,10 @@ def check_image(
                     f"{name!r} applies to the ffbp algorithm, "
                     f"not {algorithm!r}",
                 )
+    if stream_data and not stream:
+        raise RequestError(
+            "bad-request", "'stream_data' applies to streamed requests only"
+        )
     try:
         if algorithm == "ffbp":
             check_ffbp(cfg, shards, interpolation, phase_correction)
@@ -441,12 +453,16 @@ def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
             ("nearest", "bilinear", "cubic_range"),
         )
         phase_correction = _require_bool(obj, "phase_correction")
+        stream = _require_bool(obj, "stream")
+        stream_data = _require_bool(obj, "stream_data")
         check_image(
             radar_config(pulses, ranges),
             algorithm,
             shards,
             interpolation,
             phase_correction,
+            stream,
+            stream_data,
         )
         bound = result_frame_bound(req_id, algorithm, pulses, ranges)
         if bound > max_frame_bytes:
@@ -465,8 +481,8 @@ def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
             shards=shards,
             noise_seed=_require_int(obj, "noise_seed", 1234, 0, 2**63 - 1),
             noise_sigma=_noise_sigma(obj),
-            stream=_require_bool(obj, "stream"),
-            stream_data=_require_bool(obj, "stream_data"),
+            stream=stream,
+            stream_data=stream_data,
             deadline_ms=_deadline_ms(obj),
         )
     # profile
@@ -503,6 +519,15 @@ def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
         raise RequestError(
             "bad-request", f"'cores' applies to the ffbp kernel, not {kernel!r}"
         )
+    else:
+        # The Fig. 9 placement must fit the chip's mesh.
+        from repro.kernels.autofocus_mpmd import paper_placement
+        from repro.kernels.opcounts import AutofocusWorkload
+
+        try:
+            paper_placement(AutofocusWorkload(), spec.mesh_rows, spec.mesh_cols)
+        except ValueError as exc:
+            raise RequestError("bad-request", f"{backend!r}: {exc}") from exc
     return ProfileRequest(
         id=req_id,
         backend=backend,

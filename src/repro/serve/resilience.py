@@ -1,14 +1,11 @@
 """Resilience policies of the serving tier: admission, retry, breaker.
 
-The serving tier of PR 7 was fair-weather: queues grew without bound
-under overload, a contained fault went straight back to the client on
-first occurrence, and a consistently-failing backend kept being asked.
-This module is the policy layer that fixes all three, kept separate
-from :mod:`repro.serve.service` (which stays glue) and built on the
-same determinism discipline as the rest of the repo -- every decision
-is a pure function of ``(settings, seed, request history)``, never of
-wall clock or scheduling jitter, so a same-seed rerun of the chaos
-gate makes identical admission/retry/degradation decisions:
+The policy layer for overload, contained faults and failing
+backends, kept apart from :mod:`repro.serve.service` (which stays
+glue).  Every decision is a pure function of ``(settings, seed,
+request history)``, never of wall clock or scheduling jitter, so a
+same-seed rerun of the chaos gate makes identical admission/retry/
+degradation decisions:
 
 - :class:`AdmissionController` -- a bounded in-flight budget.  A
   request over budget is *rejected immediately* with a structured
@@ -329,10 +326,6 @@ class CircuitBreaker:
             st.cooldown_left = self.cooldown
             st.window.clear()
             self.trips += 1
-
-    def state_of(self, spec: str) -> str:
-        st = self._specs.get(spec)
-        return st.state if st is not None else "closed"
 
     def snapshot(self) -> dict:
         """Health-report block: counters plus per-spec state."""

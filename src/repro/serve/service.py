@@ -1,54 +1,41 @@
 """The asyncio image-formation service (``repro serve``).
 
-Layering (docs/architecture.md §14): the service is *glue, not
-physics*.  It owns sockets, framing, batching and deadlines; every
-answer it produces comes from the layers below --
+The service is *glue, not physics* (docs/architecture.md §14-15): it
+owns sockets, framing, batching and deadlines, and every answer comes
+from a lower layer -- the task functions of :mod:`repro.serve.workers`
+run through :func:`~repro.exec.runner.invoke` on one process pool, a
+:class:`~repro.exec.cache.ResultCache` is the content-addressed
+response cache, :mod:`repro.faults` diagnoses contained faults, and
+:mod:`repro.serve.resilience` holds the admission, retry and breaker
+policies.
 
-- **workers** (:mod:`repro.serve.workers`): pure, picklable task
-  functions over the ``sar``/``kernels`` stacks,
-- **execution** (:mod:`repro.exec`): each miss runs through
-  :func:`~repro.exec.runner.invoke` on one process pool, and a
-  :class:`~repro.exec.cache.ResultCache` is the content-addressed
-  *response cache* -- a repeated identical request is served from
-  disk, byte-identical, ``code_version()``-invalidated, and the hit is
-  counted,
-- **performance** (:mod:`repro.perf`): merge geometry memoised across
-  tenants sharing a grid,
-- **faults** (:mod:`repro.faults`): watchdog stalls and injected
-  faults surface as structured error responses with blame reports,
-  and accumulate in the ``health`` diagnostics,
-- **resilience** (:mod:`repro.serve.resilience`, §15): admission
-  control bounds in-flight work (structured ``overloaded`` + retry
-  hint instead of queue growth), contained faults and broken pools are
-  retried with seeded deterministic backoff (the only retry loop in
-  the stack: the pool runs each task once), and a
-  per-backend-spec circuit breaker degrades profile requests one rung
-  down the ladder (``event:*`` onto byte-identical
-  ``replay(event:*)``, then ``analytic:*``) when the real backend
-  keeps failing.
-
-Scheduling: every request first looks up the response cache, once
-per attempt, on the event loop; a hit is answered there and then,
-ahead of the batch window and the worker pool.  Only misses land on
-the queue; a batcher drains it, waits ``batch_window_ms`` for
-company, groups the window by cache payload (identical misses
-*coalesce* onto a single compute) and submits each payload to the one
-process pool created with the service; the loop stores each computed
-value in the cache.  The ``batches`` and ``coalesced`` counters
-therefore count only windows of misses.  Per-request deadlines convert
-to structured ``deadline`` error responses -- a slow request can never
-hang its connection.  A worker death is contained (``broken-pool``
-failures, retried on the pool rebuilt once per break by the
-serve-level retry) -- one poisoned request cannot take down its batch
-window.  Streamed FFBP runs on a thread: its per-level callback cannot
-cross a process.  ``close()`` drains: queued and in-flight requests
-get their terminal response before the listener and the pool go away.
+Every work request takes one path.  It first looks up the response
+cache, once per attempt, on the event loop; a hit is answered there
+and then.  A miss lands on the queue; a batcher waits
+``batch_window_ms`` for company, coalesces identical misses onto one
+compute and submits each payload to the pool; the loop stores each
+computed value in the cache.  A measured elapsed time past the
+request's deadline answers a structured ``deadline``; a worker death
+fails every job in flight with ``broken-pool``, which the serve-level
+retry (the only retry loop in the stack) runs again on the pool,
+rebuilt once per break.  A streamed FFBP is such a miss too: its
+worker posts each merge level on the pool's partial channel as it
+completes, and the loop forwards them as ``partial`` frames ahead of
+the ``result``.  A streamed hit answers the ``result`` alone (partials
+report the progress of a compute), and a stream retried after a broken
+pool streams again from level 0.  ``close()`` drains: queued and
+in-flight requests get their terminal response before the listener and
+the pool go away.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
+import json
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -95,7 +82,7 @@ class ServeSettings:
     host: str = "127.0.0.1"
     port: int = 0
     workers: int = 1
-    """Width of the one process pool that computes every batched miss;
+    """Width of the one process pool that computes every miss;
     one worker leaves a core of a 2-core host to the event loop."""
     batch_window_ms: float = 5.0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
@@ -127,8 +114,6 @@ class ServeSettings:
     allow_chaos: bool = False
     """Accept ``fail_marker`` chaos requests (worker suicide hooks);
     the kill hits a pool process, not the server."""
-    window_s: float = 60.0
-    """Horizon of the rolling rate window in ``health``."""
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -167,10 +152,6 @@ class ServeSettings:
                 f"breaker_failures ({self.breaker_failures}) cannot exceed "
                 f"breaker_window ({self.breaker_window})"
             )
-        if self.window_s <= 0:
-            raise ValueError(
-                f"window_s must be positive, got {self.window_s}"
-            )
 
 
 @dataclass
@@ -202,10 +183,75 @@ class _Pending:
 
     The future resolves to ``("ok", value, False)`` or
     ``("fail", kind, text)`` -- never an exception for a *task-level*
-    failure, so the dispatch side can classify retryability."""
+    failure, so the dispatch side can classify retryability.  A streamed
+    request also has ``partials``: the partial frames of its compute as
+    they arrive, then ``None`` once its outcome is set."""
 
     request: ImageRequest | ProfileRequest
     future: asyncio.Future = field(default_factory=asyncio.Future)
+    partials: asyncio.Queue | None = None
+
+
+class _Channel:
+    """The partial channel of one pool generation.
+
+    Workers post ``[token, frame]`` JSON lines on a one-way pipe under
+    a lock (:func:`repro.serve.workers.compute`); ``frame`` is ``None``
+    at the end of a job.  The loop reads without blocking, so a message
+    torn by a worker killed mid-write stays unread instead of stalling
+    the loop, and routes each partial to the streaming waiters of its
+    job.  The break of its pool retires the channel with it."""
+
+    def __init__(self, ctx) -> None:
+        self.reader, self.writer = ctx.Pipe(duplex=False)
+        self.lock = ctx.Lock()
+        self.fd = self.reader.fileno()
+        os.set_blocking(self.fd, False)
+        self._buf = bytearray()
+        self._tokens = itertools.count()
+        self.jobs: dict[int, tuple[list[_Pending], asyncio.Event]] = {}
+
+    def open_job(self, waiters: list[_Pending]) -> tuple[int, asyncio.Event]:
+        """Token of a streamed job, and the event its end marker sets."""
+        token, ended = next(self._tokens), asyncio.Event()
+        self.jobs[token] = (waiters, ended)
+        asyncio.get_running_loop().add_reader(self.fd, self.route)
+        return token, ended
+
+    def route(self) -> None:
+        """Route every complete message readable now; the ``stage`` bytes
+        go only to waiters that asked ``stream_data``."""
+        try:
+            while chunk := os.read(self.fd, 1 << 16):
+                self._buf += chunk
+        except BlockingIOError:
+            pass
+        *lines, self._buf = self._buf.split(b"\n")
+        for line in lines:
+            token, frame = json.loads(line)
+            waiters, ended = self.jobs.get(token, ((), asyncio.Event()))
+            if frame is None:
+                ended.set()
+                continue
+            lean = {k: v for k, v in frame.items() if k != "stage"}
+            for pending in waiters:
+                pending.partials.put_nowait(
+                    frame if pending.request.stream_data else lean
+                )
+
+    def retire(self) -> None:
+        """Route what is left, stop reading, close, and release every
+        job still waiting for its end marker.  The reader goes before
+        the pipe: with no writer left, the read end stays readable at
+        EOF and the loop would spin on it."""
+        if self.reader.closed:
+            return
+        self.route()
+        asyncio.get_running_loop().remove_reader(self.fd)
+        self.reader.close()
+        self.writer.close()
+        for _, ended in self.jobs.values():
+            ended.set()
 
 
 class ImageService:
@@ -220,7 +266,7 @@ class ImageService:
         self._group_tasks: set[asyncio.Task] = set()
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._handlers: dict = {}  # writer -> its connection handler task
-        self._pool = self._new_pool()
+        self._pool, self._channel = self._new_pool()
         self._tmpdir = None
         if self.settings.no_cache:
             self._cache: ResultCache | None = None
@@ -245,7 +291,7 @@ class ImageService:
             failures=self.settings.breaker_failures,
             cooldown=self.settings.breaker_cooldown,
         )
-        self._window = RollingWindow(horizon_s=self.settings.window_s)
+        self._window = RollingWindow()
         self._connections = 0
         self._started = time.monotonic()
         self._shutdown = asyncio.Event()
@@ -329,6 +375,7 @@ class ImageService:
             await self._server.wait_closed()
             self._server = None
         self._pool.shutdown(wait=True)
+        self._channel.retire()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
@@ -356,10 +403,10 @@ class ImageService:
                         reader, self.settings.max_frame_bytes
                     )
                 except ProtocolError as exc:
-                    self._mark_error()
                     if not exc.recoverable:
+                        self._mark_error()
                         break
-                    await send(error_response(None, exc.code, exc.detail))
+                    await self._send_error(None, exc.code, exc.detail, send)
                     continue
                 if frame is None:
                     break
@@ -368,10 +415,7 @@ class ImageService:
                         frame, self.settings.max_frame_bytes
                     )
                 except RequestError as exc:
-                    self._mark_error()
-                    await send(
-                        error_response(frame.get("id"), exc.code, exc.detail)
-                    )
+                    await self._send_error(frame.get("id"), exc.code, exc.detail, send)
                     continue
                 if isinstance(request, HealthRequest):
                     await send(self._health(request.id))
@@ -390,43 +434,32 @@ class ImageService:
                     and request.fail_marker is not None
                     and not self.settings.allow_chaos
                 ):
-                    self._mark_error()
-                    await send(
-                        error_response(
-                            request.id,
-                            "bad-request",
-                            "'fail_marker' requires a server started with "
-                            "allow_chaos",
-                        )
-                    )
-                    continue
-                if self._closing:
-                    await self._reject_overloaded(
+                    await self._send_error(
                         request.id,
-                        "server is draining for shutdown",
-                        self._admission.retry_hint(),
+                        "bad-request",
+                        "'fail_marker' requires a server started with allow_chaos",
                         send,
                     )
                     continue
                 conn_tasks = {t for t in conn_tasks if not t.done()}
-                if len(conn_tasks) >= self.settings.max_connection_inflight:
-                    await self._reject_overloaded(
-                        request.id,
-                        f"connection exceeded its "
-                        f"{self.settings.max_connection_inflight} in-flight "
-                        f"request cap",
-                        self._admission.retry_hint(),
-                        send,
-                    )
-                    continue
-                hint = self._admission.try_admit()
-                if hint is not None:
-                    await self._reject_overloaded(
-                        request.id,
+                cap, hint = self.settings.max_connection_inflight, None
+                if self._closing:
+                    refusal = "server is draining for shutdown"
+                elif len(conn_tasks) >= cap:
+                    refusal = f"connection exceeded its {cap} in-flight request cap"
+                else:
+                    hint = self._admission.try_admit()
+                    refusal = None if hint is None else (
                         f"server is at its {self.settings.max_inflight} "
-                        f"in-flight request budget",
-                        hint,
-                        send,
+                        "in-flight request budget"
+                    )
+                if refusal:
+                    # Every refusal carries the pressure-scaled hint.
+                    self.stats.overloaded += 1
+                    self._window.record("overloaded")
+                    await self._send_error(
+                        request.id, "overloaded", refusal, send,
+                        retry_after_ms=hint or self._admission.retry_hint(),
                     )
                     continue
                 task = asyncio.create_task(self._run_admitted(request, send))
@@ -451,24 +484,11 @@ class ImageService:
     async def _run_admitted(self, request, send) -> None:
         """One admitted work request, releasing its admission slot."""
         try:
-            if isinstance(request, ImageRequest) and request.stream:
-                await self._run_streaming(request, send)
-            else:
-                await self._run_batched(request, send)
+            await self._run_batched(request, send)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             self._admission.release()
-
-    async def _reject_overloaded(
-        self, req_id, detail: str, hint_ms: float, send
-    ) -> None:
-        self._mark_error()
-        self.stats.overloaded += 1
-        self._window.record("overloaded")
-        response = error_response(req_id, "overloaded", detail)
-        response["retry_after_ms"] = hint_ms
-        await send(response)
 
     # -- stats plumbing ---------------------------------------------------
 
@@ -480,66 +500,13 @@ class ImageService:
         self.stats.errors += 1
         self._window.record("error")
 
-    async def _send_result(self, request, response: dict, send) -> None:
-        """Send a ``result`` frame and count it served -- or, when the
-        result does not fit in one frame, answer ``oversized``."""
-        try:
-            frame = encode_frame(response, self.settings.max_frame_bytes)
-        except ProtocolError as exc:
-            extra = {
-                key: response[key]
-                for key in ("retries", "degraded", "degraded_to")
-                if key in response
-            }
-            await self._send_oversized(request, "result", exc, send, **extra)
-            return
-        self._mark_served()
-        await send(frame)
-
-    async def _send_oversized(
-        self, request, what: str, exc: ProtocolError, send, **extra
-    ) -> None:
-        """Answer a frame over the byte limit with a structured
-        ``oversized`` error naming the limit, and count an error.  Frames
-        are encoded before any byte is written, so nothing of the refused
-        frame went out and the connection stays usable."""
+    async def _send_error(self, req_id, code: str, detail: str, send, **extra) -> None:
+        """Send a structured ``error`` frame (plus ``extra`` keys) and
+        count an error."""
         self._mark_error()
-        response = error_response(request.id, exc.code, f"{what} {exc.detail}")
-        response.update(extra)
-        await send(response)
+        await send({**error_response(req_id, code, detail), **extra})
 
     # -- request execution -----------------------------------------------
-
-    def _effective_deadline_ms(self, request) -> float | None:
-        if request.deadline_ms is not None:
-            return request.deadline_ms
-        return self.settings.default_deadline_ms
-
-    def _deadline_of(self, request) -> float | None:
-        deadline_ms = self._effective_deadline_ms(request)
-        return None if deadline_ms is None else deadline_ms / 1e3
-
-    def _missed_deadline(self, request, elapsed: float) -> bool:
-        """The one deadline rule, shared by the batched and streamed
-        paths: a request whose measured ``elapsed`` seconds exceed its
-        effective deadline answers ``deadline``, never ``result`` --
-        whether its wait timed out or its work was already done."""
-        deadline = self._deadline_of(request)
-        return deadline is not None and elapsed > deadline
-
-    async def _send_deadline(self, request, what: str, send, **extra) -> None:
-        """Answer a missed deadline with a structured ``deadline`` error."""
-        self._mark_error()
-        self.stats.deadline_misses += 1
-        self._window.record("deadline_miss")
-        response = error_response(
-            request.id,
-            "deadline",
-            f"{what} exceeded its "
-            f"{self._effective_deadline_ms(request)} ms deadline",
-        )
-        response.update(extra)
-        await send(response)
 
     async def _enqueue(self, pending: _Pending) -> None:
         """Hand a request to the batcher -- or, once the batcher is
@@ -590,23 +557,29 @@ class ImageService:
         return ("ok", value, True) if found else None
 
     async def _compute(
-        self, request, deadline: float | None, t0: float
+        self, request, deadline: float | None, t0: float, send=None
     ) -> tuple | None:
-        """Batch a cache miss and await its outcome; ``None`` when the
-        request's deadline runs out first."""
-        pending = _Pending(request=request)
+        """Batch a cache miss and await its outcome -- forwarding its
+        partial frames with ``send`` meanwhile when it streams; ``None``
+        when the request's deadline runs out first."""
+        pending = _Pending(request, partials=None if send is None else asyncio.Queue())
         await self._enqueue(pending)
         timeout = None
         if deadline is not None:
             timeout = max(deadline - (time.perf_counter() - t0), 0.0)
         try:
-            return await asyncio.wait_for(pending.future, timeout=timeout)
+            return await asyncio.wait_for(_forward(pending, send), timeout=timeout)
         except asyncio.TimeoutError:
             return None
 
     async def _run_batched(self, request, send) -> None:
+        """Every work request: cache lookup, else a batched compute,
+        then the deadline rule, the breaker and the retry loop."""
         t0 = time.perf_counter()
-        deadline = self._deadline_of(request)
+        deadline_ms = request.deadline_ms or self.settings.default_deadline_ms
+        deadline = None if deadline_ms is None else deadline_ms / 1e3
+        stream = isinstance(request, ImageRequest) and request.stream
+        self.stats.streams += stream
         spec = request.backend if isinstance(request, ProfileRequest) else None
         verdict, substitute = "pass", None
         degraded = False
@@ -624,45 +597,66 @@ class ImageService:
             try:
                 # A hit is answered here, on the loop: no window, no pool.
                 outcome = self._lookup(effective) or await self._compute(
-                    effective, deadline, t0
+                    effective, deadline, t0, send if stream else None
                 )
+            except ProtocolError as exc:  # a partial frame over the limit
+                await self._send_error(
+                    request.id, exc.code, f"partial {exc.detail}", send,
+                    retries=retries,
+                )
+                return
             except Exception as exc:  # structured, never a connection drop
-                self._mark_error()
-                response = error_response(request.id, "internal", str(exc))
-                response["retries"] = retries
-                await send(response)
+                await self._send_error(
+                    request.id, "internal", str(exc), send, retries=retries
+                )
                 return
             elapsed = time.perf_counter() - t0
             err = None
             if outcome is not None and outcome[0] == "ok":
                 _, value, cached = outcome
                 err = value.get("error") if isinstance(value, dict) else None
-            # A timed-out wait, or a result (not a contained fault)
-            # measured past the deadline, is a deadline miss.
+            # The one deadline rule: a timed-out wait, or a result (not a
+            # contained fault) measured past the deadline, answers
+            # ``deadline`` -- even when the work was already done.
             if outcome is None or (
                 outcome[0] == "ok"
                 and err is None
-                and self._missed_deadline(request, elapsed)
+                and deadline is not None
+                and elapsed > deadline
             ):
                 self._breaker_record(spec, verdict, ok=False)
-                await self._send_deadline(request, "request", send, retries=retries)
+                self.stats.deadline_misses += 1
+                self._window.record("deadline_miss")
+                await self._send_error(
+                    request.id,
+                    "deadline",
+                    f"{'stream' if stream else 'request'} exceeded its "
+                    f"{deadline_ms} ms deadline",
+                    send,
+                    retries=retries,
+                )
                 return
             if outcome[0] == "ok":
                 if err is None:
                     self._breaker_record(spec, verdict, ok=True)
-                    response = dict(value)
-                    response.update(
-                        id=request.id,
-                        type="result",
-                        cached=bool(cached),
-                        elapsed_ms=round(elapsed * 1e3, 3),
-                        retries=retries,
-                    )
+                    extra = {"retries": retries}
                     if degraded:
-                        response.update(
-                            degraded=True, degraded_to=effective.backend
+                        extra.update(degraded=True, degraded_to=effective.backend)
+                    response = dict(
+                        value, id=request.id, type="result", cached=bool(cached),
+                        elapsed_ms=round(elapsed * 1e3, 3), **extra,
+                    )
+                    # Encoded before any byte is written: a result over the
+                    # limit answers ``oversized`` on a still-usable connection.
+                    try:
+                        frame = encode_frame(response, self.settings.max_frame_bytes)
+                    except ProtocolError as exc:
+                        await self._send_error(
+                            request.id, exc.code, f"result {exc.detail}", send, **extra
                         )
-                    await self._send_result(request, response, send)
+                        return
+                    self._mark_served()
+                    await send(frame)
                     return
                 # A contained fault (stall blame, injected fault) from
                 # the profile path: retryable -- the work is pure and
@@ -689,90 +683,28 @@ class ImageService:
                     request, err, retries, degraded, effective, send
                 )
                 return
-            self._mark_error()
             code = "broken-pool" if fkind == "broken-pool" else "internal"
-            response = error_response(request.id, code, ftext)
-            response["retries"] = retries
-            await send(response)
+            await self._send_error(request.id, code, ftext, send, retries=retries)
             return
 
     async def _send_contained(
         self, request, err: dict, retries: int, degraded: bool, effective, send
     ) -> None:
         """Answer with a contained fault's structured diagnosis."""
-        self._mark_error()
         self.stats.contained_faults += 1
         self._window.record("contained_fault")
         self.stats.last_fault = err.get("detail")
         if err.get("code") == "stall":
             self.stats.stalls += 1
             self.stats.last_blame = err.get("blame")
-        response = error_response(
-            request.id, err.get("code", "fault"), err.get("detail", "")
-        )
-        response["outcome"] = err.get("outcome")
+        extra = {"outcome": err.get("outcome"), "retries": retries}
         if err.get("blame"):
-            response["blame"] = err["blame"]
-        response["retries"] = retries
+            extra["blame"] = err["blame"]
         if degraded:
-            response.update(degraded=True, degraded_to=effective.backend)
-        await send(response)
-
-    async def _run_streaming(self, request: ImageRequest, send) -> None:
-        """FFBP with merge levels streamed back as ``partial`` frames."""
-        self.stats.streams += 1
-        loop = asyncio.get_running_loop()
-        frames: asyncio.Queue = asyncio.Queue()
-        _DONE = object()
-
-        def emit(frame: dict) -> None:
-            loop.call_soon_threadsafe(frames.put_nowait, frame)
-
-        def run() -> dict:
-            try:
-                return workers.form_image_streaming(
-                    request.payload(), emit, stream_data=request.stream_data
-                )
-            finally:
-                loop.call_soon_threadsafe(frames.put_nowait, _DONE)
-
-        t0 = time.perf_counter()
-        job = loop.run_in_executor(None, run)
-        deadline = self._deadline_of(request)
-
-        async def forward() -> dict:
-            while True:
-                frame = await frames.get()
-                if frame is _DONE:
-                    break
-                partial = dict(frame)
-                partial.update(id=request.id, type="partial")
-                await send(partial)
-            return await job
-
-        try:
-            value = await asyncio.wait_for(forward(), timeout=deadline)
-        except asyncio.TimeoutError:
-            value = None
-        except ProtocolError as exc:  # a partial frame over the limit
-            await self._send_oversized(request, "partial", exc, send)
-            return
-        except Exception as exc:
-            self._mark_error()
-            await send(error_response(request.id, "internal", str(exc)))
-            return
-        elapsed = time.perf_counter() - t0
-        if value is None or self._missed_deadline(request, elapsed):
-            await self._send_deadline(request, "stream", send)
-            return
-        response = dict(value)
-        response.update(
-            id=request.id,
-            type="result",
-            cached=False,
-            elapsed_ms=round(elapsed * 1e3, 3),
+            extra.update(degraded=True, degraded_to=effective.backend)
+        await self._send_error(
+            request.id, err.get("code", "fault"), err.get("detail", ""), send, **extra
         )
-        await self._send_result(request, response, send)
 
     # -- batching ---------------------------------------------------------
 
@@ -809,41 +741,58 @@ class ImageService:
                 stable_digest(pending.request.payload()), []
             ).append(pending)
         self.stats.coalesced += len(group) - len(unique)
-        order = list(unique.items())
+        order = list(unique.values())
         try:
-            outcomes = await asyncio.gather(
-                *(self._execute(ws[0].request.payload()) for _, ws in order)
-            )
+            outcomes = await asyncio.gather(*map(self._execute, order))
         except Exception as exc:
-            for _, waiters in order:
-                for pending in waiters:
-                    if not pending.future.done():
-                        pending.future.set_exception(exc)
-            return
-        for (_, waiters), outcome in zip(order, outcomes):
+            outcomes = [exc] * len(order)
+        for waiters, outcome in zip(order, outcomes):
             for pending in waiters:
-                if not pending.future.done():  # else its client timed out
+                if pending.partials is not None:
+                    pending.partials.put_nowait(None)  # ends its stream
+                if pending.future.done():  # its client timed out
+                    continue
+                if isinstance(outcome, Exception):
+                    pending.future.set_exception(outcome)
+                else:
                     pending.future.set_result(outcome)
 
-    async def _execute(self, payload: dict) -> tuple:
-        """Compute one miss on the pool: ``("ok", value, False)``, stored
-        in the cache here on the loop, or ``("fail", kind, text)`` -- a
-        task exception with the child's traceback, or ``broken-pool``
-        for every task in flight when a worker dies -- never an
-        exception, so one bad request cannot poison its batch-mates."""
-        key, pool = _task_key(payload), self._pool
+    async def _execute(self, waiters: list[_Pending]) -> tuple:
+        """Compute one miss on the pool for its coalesced ``waiters``:
+        ``("ok", value, False)``, stored in the cache here on the loop,
+        or ``("fail", kind, text)`` -- a task exception with the child's
+        traceback, or ``broken-pool`` for every task in flight when a
+        worker dies -- never an exception, so one bad request cannot
+        poison its batch-mates.
+
+        When some waiters stream, the job gets a token: its worker posts
+        the partials on the pool's channel, and the outcome waits for
+        the job's end marker, so every partial precedes the result."""
+        payload = waiters[0].request.payload()
+        key, pool, channel = _task_key(payload), self._pool, self._channel
+        streams = [p for p in waiters if p.partials is not None]
+        args: tuple = (payload,)
+        if streams:
+            token, ended = channel.open_job(streams)
+            args = (payload, (token, any(p.request.stream_data for p in streams)))
         try:
             status, value, _ = await asyncio.wrap_future(
-                pool.submit(invoke, workers.compute, (payload,), {})
+                pool.submit(invoke, workers.compute, args, {})
             )
+            if streams:
+                await ended.wait()
         except BrokenProcessPool as exc:
             if pool is self._pool:  # rebuild once per break
-                self._pool = self._new_pool()
+                channel.retire()
+                self._pool, self._channel = self._new_pool()
                 self.stats.pool_rebuilds += 1
                 self._window.record("pool_rebuild")
                 pool.shutdown(wait=False)  # some workers are still dying
             failure = TaskFailure(key, "broken-pool", str(exc))
             return ("fail", failure.kind, failure.format())
+        finally:
+            if streams:
+                del channel.jobs[token]
         if status == "err":
             etype, msg, tb = value
             failure = TaskFailure(key, "error", f"{etype}: {msg}", tb)
@@ -852,10 +801,18 @@ class ImageService:
             self._cache.put(response_key(self._cache, payload), value)
         return ("ok", value, False)
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.settings.workers, initializer=workers.detach_sockets
+    def _new_pool(self) -> tuple[ProcessPoolExecutor, _Channel]:
+        """One pool generation: the pool and the partial channel its
+        workers inherit through the initializer."""
+        ctx = multiprocessing.get_context()
+        channel = _Channel(ctx)
+        pool = ProcessPoolExecutor(
+            max_workers=self.settings.workers,
+            mp_context=ctx,
+            initializer=workers.init_worker,
+            initargs=((channel.writer, channel.lock),),
         )
+        return pool, channel
 
     # -- health ----------------------------------------------------------
 
@@ -892,6 +849,15 @@ class ImageService:
                 "breaker": self._breaker.snapshot(),
             },
         }
+
+
+async def _forward(pending: _Pending, send) -> tuple:
+    """Send a streamed request's partial frames as they arrive, then
+    return its outcome."""
+    if pending.partials is not None:
+        while (frame := await pending.partials.get()) is not None:
+            await send(dict(frame, id=pending.request.id, type="partial"))
+    return await pending.future
 
 
 def _task_key(payload: dict) -> str:

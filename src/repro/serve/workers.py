@@ -1,7 +1,7 @@
 """Pure task functions behind the serving tier.
 
 Module-level (picklable) so the service can run them on its process
-pool (:func:`compute` is the task of every batched miss), and pure
+pool (:func:`compute` is the task of every miss), and pure
 functions of their request payload so the service's content-addressed
 response cache (a :class:`~repro.exec.cache.ResultCache`) can serve
 repeats byte-identically: the cache key digests the payload dict plus
@@ -21,11 +21,17 @@ and core counts and options the kernels cannot answer.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from typing import Any, Callable
 
 from repro.faults.report import CONTAINED_FAILURES, StallError
 from repro.serve.protocol import encode_array, radar_config
+
+_channel = None
+"""``(write end, lock)`` of the partial channel of this worker's pool,
+set by :func:`init_worker`."""
 
 
 def _simulate(payload: dict):
@@ -45,11 +51,16 @@ def _simulate(payload: dict):
     return cfg, data
 
 
-def detach_sockets() -> None:
-    """Pool-worker initializer: point every socket descriptor inherited
-    through fork at ``/dev/null``, so a connection the server closes
-    reaches its peer at once, not when the worker exits.  ``dup2``, not
-    ``close``: a socket object finalised later closes only the stand-in."""
+def init_worker(channel) -> None:
+    """Pool-worker initializer: keep the pool's partial channel (handed
+    over once per worker, never pickled per job), then point every
+    socket descriptor inherited through fork at ``/dev/null``, so a
+    connection the server closes reaches its peer at once, not when the
+    worker exits.  ``dup2``, not ``close``: a socket object finalised
+    later closes only the stand-in.  The channel is a one-way pipe, not
+    a socket, so it survives."""
+    global _channel
+    _channel = channel
     import os
     import stat
 
@@ -63,25 +74,71 @@ def detach_sockets() -> None:
     os.close(devnull)
 
 
-def compute(payload: dict) -> dict:
-    """The result value of one batched request payload, dispatched on
-    ``kind`` in the worker."""
+def compute(payload: dict, stream: tuple[int, bool] | None = None) -> dict:
+    """The result value of one request payload, dispatched on ``kind``
+    in the worker.
+
+    ``stream`` is ``(token, stream_data)`` for a streamed image: each
+    merge level is posted on the pool's channel as it completes, tagged
+    with ``token``, and an end marker follows the last one before the
+    value returns -- so the service reads every partial of the job
+    before it sees the result.
+    """
     if payload.get("kind") == "profile":
         return profile_kernel(payload)
-    return form_image(payload)
+    if stream is None:
+        return form_image(payload)
+    token, stream_data = stream
+
+    def emit(level: int, n_levels: int, stage) -> None:
+        frame: dict[str, Any] = {
+            "level": level,
+            "n_levels": n_levels,
+            "subapertures": int(stage.shape[0]),
+            "beams": int(stage.shape[1]),
+            "sha256": hashlib.sha256(stage.tobytes()).hexdigest(),
+        }
+        if stream_data:
+            frame["stage"] = encode_array(stage)
+        _post(token, frame)
+
+    try:
+        return form_image(payload, emit)
+    finally:
+        _post(token, None)
 
 
-def form_image(payload: dict) -> dict:
+def _post(token: int, frame: dict | None) -> None:
+    """One ``[token, frame]`` JSON line on the channel (``json.dumps``
+    escapes every newline inside it); the lock keeps the lines of
+    concurrent workers whole."""
+    import os
+
+    conn, lock = _channel
+    view = memoryview(json.dumps([token, frame]).encode() + b"\n")
+    with lock:
+        while view:
+            view = view[os.write(conn.fileno(), view):]
+
+
+def form_image(
+    payload: dict, emit: Callable[[int, int, Any], None] | None = None
+) -> dict:
     """Form one image from a simulated collection; JSON-ready result.
 
     ``payload`` is :meth:`~repro.serve.protocol.ImageRequest.payload`
     -- exactly the cache-addressable fields.  The returned dict is what
     goes on the wire inside the ``result`` frame, so a cache hit is
     byte-identical to a cold compute all the way to the client.
+
+    With ``emit`` (FFBP only), ``emit(level, n_levels, stage)`` is
+    called for every stage of the serial merge tree as it completes --
+    also for ``shards``, whose result bytes are the serial ones -- and
+    the result is the same bytes either way.
     """
     import numpy as np
 
-    from repro.sar.ffbp import FfbpOptions, ffbp
+    from repro.sar.ffbp import FfbpOptions, ffbp_stages
     from repro.sar.gbp import gbp_polar
     from repro.sar.rda import range_doppler_image
 
@@ -94,13 +151,18 @@ def form_image(payload: dict) -> dict:
             phase_correction=bool(payload.get("phase_correction", False)),
         )
         shards = int(payload.get("shards", 1))
-        if shards > 1:
+        if shards > 1 and emit is None:
             from repro.sar.shard import sharded_ffbp
 
-            img = sharded_ffbp(data, cfg, shards, opts)
+            out = sharded_ffbp(data, cfg, shards, opts).data
         else:
-            img = ffbp(data, cfg, opts)
-        out = img.data
+            from repro.geometry.apertures import SubapertureTree
+
+            tree = SubapertureTree(cfg.n_pulses, cfg.spacing, cfg.merge_base)
+            for level, stage in enumerate(ffbp_stages(data, cfg, opts, tree=tree)):
+                if emit is not None:
+                    emit(level, tree.n_stages, stage)
+            out = stage[0]
     elif algorithm == "gbp":
         out = gbp_polar(np.asarray(data, np.complex128), cfg).data
     else:
@@ -108,49 +170,6 @@ def form_image(payload: dict) -> dict:
     return {
         "image": encode_array(out),
         "algorithm": algorithm,
-        "compute_ms": round((time.perf_counter() - t0) * 1e3, 3),
-    }
-
-
-def form_image_streaming(
-    payload: dict, emit: Callable[[dict], None], stream_data: bool = False
-) -> dict:
-    """FFBP with one ``partial`` emission per merge level.
-
-    ``emit`` is called from the worker thread with a JSON-ready dict
-    for every stage of the merge tree as it completes -- level index,
-    stage shape and the stage digest (plus the stage bytes when
-    ``stream_data`` is set).  Returns the same final payload as
-    :func:`form_image`, so streaming never changes the result bytes.
-    """
-    import hashlib
-
-    from repro.geometry.apertures import SubapertureTree
-    from repro.sar.ffbp import FfbpOptions, ffbp_stages
-
-    t0 = time.perf_counter()
-    cfg, data = _simulate(payload)
-    opts = FfbpOptions(
-        interpolation=payload.get("interpolation", "nearest"),
-        phase_correction=bool(payload.get("phase_correction", False)),
-    )
-    tree = SubapertureTree(cfg.n_pulses, cfg.spacing, cfg.merge_base)
-    n_levels = tree.n_stages
-    stage = None
-    for level, stage in enumerate(ffbp_stages(data, cfg, opts, tree=tree)):
-        frame: dict[str, Any] = {
-            "level": level,
-            "n_levels": n_levels,
-            "subapertures": int(stage.shape[0]),
-            "beams": int(stage.shape[1]),
-            "sha256": hashlib.sha256(stage.tobytes()).hexdigest(),
-        }
-        if stream_data:
-            frame["stage"] = encode_array(stage)
-        emit(frame)
-    return {
-        "image": encode_array(stage[0]),
-        "algorithm": "ffbp",
         "compute_ms": round((time.perf_counter() - t0) * 1e3, 3),
     }
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.signal.chirp import LfmChirp
-
 
 def _next_fast_len(n: int) -> int:
     """Smallest power of two >= n (good enough for our sizes)."""
@@ -50,10 +48,6 @@ class MatchedFilter:
         self.replica = replica
         gain = np.sum(np.abs(replica) ** 2)
         self._scale = 1.0 / gain if (self.normalize and gain > 0) else 1.0
-
-    @classmethod
-    def for_chirp(cls, chirp: LfmChirp, normalize: bool = True) -> "MatchedFilter":
-        return cls(chirp.baseband(), normalize=normalize)
 
     def apply(self, echoes: np.ndarray) -> np.ndarray:
         """Compress echoes along the last axis.

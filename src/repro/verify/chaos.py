@@ -439,8 +439,9 @@ class _ServeClient:
         self.writer.write(encode_frame(obj))
         await self.writer.drain()
 
-    async def read_terminal(self) -> dict:
-        """Next terminal frame (``partial`` streaming frames skipped)."""
+    async def read_terminal(self, partials: list | None = None) -> dict:
+        """Next terminal frame; ``partial`` streaming frames before it
+        are skipped, or appended to ``partials``."""
         import asyncio
 
         from repro.serve.protocol import read_frame
@@ -451,6 +452,8 @@ class _ServeClient:
                 raise ConnectionError("connection closed before a terminal frame")
             if frame.get("type") in TERMINAL_TYPES:
                 return frame
+            if partials is not None:
+                partials.append(frame)
 
     async def request(self, obj: dict) -> dict:
         await self.send(obj)
@@ -525,6 +528,17 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
         # A. response cache: cold compute, then a byte-flagged repeat.
         records.append(_serve_record(await main.request({**image, "id": "a0"})))
         records.append(_serve_record(await main.request({**image, "id": "a1"})))
+        # A streamed cold compute (every merge level, then the result),
+        # then its repeat: a cache hit answering the result alone.
+        for rid in ("s0", "s1"):
+            await main.send(
+                {**image, "id": rid, "noise_seed": img_seed + 4, "stream": True}
+            )
+            partials: list[dict] = []
+            frame = await main.read_terminal(partials)
+            records.append(
+                {**_serve_record(frame), "partials": [p.get("sha256") for p in partials]}
+            )
 
         # B. guaranteed deadline miss (budget far below the batch window).
         records.append(
@@ -707,17 +721,29 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
 
     by_id = {r["id"]: r for r in first["records"]}
     a0, a1 = by_id.get("a0", {}), by_id.get("a1", {})
+    s0, s1 = by_id.get("s0", {}), by_id.get("s1", {})
     cache_ok = (
         a0.get("type") == "result"
         and a1.get("type") == "result"
         and a1.get("cached") is True
         and a0.get("sha256") == a1.get("sha256") is not None
+        and s0.get("type") == "result"
+        and s0.get("cached") is False
+        and (s0.get("partials") or [None])[-1] == s0.get("sha256") is not None
+        and s1.get("type") == "result"
+        and s1.get("cached") is True
+        and s1.get("partials") == []
+        and s1.get("sha256") == s0.get("sha256")
     )
     checks.append(
         Check(
             name=f"{prefix}.cache-byte-identical",
             passed=cache_ok,
-            note="repeat request served from cache with identical bytes",
+            note=(
+                "repeat request served from cache with identical bytes; a "
+                "cold stream sends every merge level, its repeat the "
+                "cached result alone"
+            ),
         )
     )
     checks.append(

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.machine.backends import available_backends, resolve_backend
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ImageRequest,
@@ -181,9 +182,11 @@ class TestParseRequest:
 
     @pytest.mark.parametrize("name", ["phase_correction", "stream", "stream_data"])
     def test_flags_read_json_booleans(self, name):
-        assert getattr(parse_request({"kind": "image", name: True}), name) is True
-        assert getattr(parse_request({"kind": "image", name: False}), name) is False
-        assert getattr(parse_request({"kind": "image"}), name) is False
+        # 'stream_data' applies only to a streamed request.
+        base = {"kind": "image", "stream": name == "stream_data"}
+        assert getattr(parse_request({**base, name: True}), name) is True
+        assert getattr(parse_request({**base, name: False}), name) is False
+        assert getattr(parse_request(base), name) is False
 
     def test_unknown_backend_has_its_own_code(self):
         with pytest.raises(RequestError) as exc_info:
@@ -220,6 +223,10 @@ class TestImageEnvelope:
             {"algorithm": "gbp", "phase_correction": True},
             {"interpolation": "bilinear", "phase_correction": True},
             {"interpolation": "cubic_range", "phase_correction": True},
+            {"algorithm": "rda", "stream": True},
+            {"algorithm": "gbp", "stream": True},
+            {"stream_data": True},
+            {"algorithm": "rda", "stream_data": True},
         ],
         ids=[
             "rda-interpolation",
@@ -228,13 +235,19 @@ class TestImageEnvelope:
             "gbp-phase",
             "bilinear-phase",
             "cubic-phase",
+            "rda-stream",
+            "gbp-stream",
+            "stream-data-alone",
+            "rda-stream-data",
         ],
     )
     def test_silent_no_ops_are_refused(self, fields):
+        """A streamed gbp/rda request would be answered with an FFBP
+        image; the other fields would do nothing."""
         with pytest.raises(RequestError) as exc_info:
             parse_request({"kind": "image", **fields})
         assert exc_info.value.code == "bad-request"
-        bad = "interpolation" if "phase_correction" not in fields else "phase_correction"
+        bad = list(fields)[-1]  # the detail names the last field listed
         assert bad in exc_info.value.detail
 
     @pytest.mark.parametrize("pulses", [100, 512])
@@ -288,6 +301,29 @@ class TestProfileEnvelope:
             parse_request({"kind": "profile", "kernel": "autofocus", "cores": 8})
         assert exc_info.value.code == "bad-request"
         assert "'cores' applies to the ffbp kernel" in exc_info.value.detail
+
+    def test_autofocus_placement_off_the_mesh_is_refused(self):
+        """The Fig. 9 placement needs a 4x4 mesh; on a 2x2 chip it used
+        to fail in the worker and answer ``internal``."""
+        with pytest.raises(RequestError) as exc_info:
+            parse_request(
+                {"kind": "profile", "kernel": "autofocus", "backend": "analytic:2x2"}
+            )
+        assert exc_info.value.code == "bad-request"
+        assert "off-mesh" in exc_info.value.detail
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("spec", ["e16", "e64", "board", "2x(e16)", "4x8", "3x4"])
+    def test_autofocus_parses_on_every_spec_that_holds_it(self, backend, spec):
+        name = f"{backend}:{spec}"
+        _, machine_spec = resolve_backend(name)
+        holds = machine_spec.mesh_rows >= 4 and machine_spec.mesh_cols >= 4
+        request = {"kind": "profile", "kernel": "autofocus", "backend": name}
+        if holds:
+            assert parse_request(request).backend == name
+        else:
+            with pytest.raises(RequestError, match="off-mesh"):
+                parse_request(request)
 
     def test_default_cores_fit_the_chip(self):
         assert parse_request({"kind": "profile"}).cores == 16

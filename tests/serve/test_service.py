@@ -11,6 +11,7 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
 import struct
 import time
 
@@ -256,6 +257,222 @@ class TestStreaming:
             assert stage.shape[0] == p["subapertures"]
             assert stage.shape[1] == p["beams"]
 
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"interpolation": "cubic_range"}, {"phase_correction": True}],
+        ids=["nearest", "cubic_range", "phase_correction"],
+    )
+    def test_partials_equal_the_ffbp_stages_reference(self, options):
+        """Every served ``partial`` frame, stage bytes included, equals
+        one built here from ``ffbp_stages`` over the same scene."""
+        from repro.eval.figures import default_scene
+        from repro.geometry.apertures import SubapertureTree
+        from repro.sar.config import RadarConfig
+        from repro.sar.ffbp import FfbpOptions, ffbp_stages
+        from repro.sar.simulate import simulate_compressed
+        from repro.serve.protocol import encode_array
+
+        async def scenario(service):
+            request = {**IMG, **options, "id": "ref", "stream": True,
+                       "stream_data": True}
+            return await one_shot(service, request)
+
+        terminal, partials = service_test(scenario)
+        cfg = RadarConfig.small(n_pulses=32, n_ranges=33)
+        data = simulate_compressed(
+            cfg, default_scene(cfg), noise_sigma=0.05, seed=1234
+        )
+        tree = SubapertureTree(cfg.n_pulses, cfg.spacing, cfg.merge_base)
+        opts = FfbpOptions(**options)
+        expected = [
+            {"id": "ref", "type": "partial", "level": level,
+             "n_levels": tree.n_stages, "subapertures": stage.shape[0],
+             "beams": stage.shape[1],
+             "sha256": encode_array(stage)["sha256"],
+             "stage": encode_array(stage)}
+            for level, stage in enumerate(ffbp_stages(data, cfg, opts, tree=tree))
+        ]
+        assert partials == expected
+        assert terminal["image"]["sha256"] == expected[-1]["sha256"]
+
+    def test_channel_reads_the_lines_workers_post(self, monkeypatch):
+        """The two ends of the partial channel agree on its framing: a
+        partial whose strings hold newlines reaches its job's waiter
+        whole, and the end marker sets the job's event."""
+        from repro.serve import workers
+        from repro.serve.protocol import parse_request
+
+        frame = {"level": 0, "note": "two\nlines"}
+
+        async def scenario():
+            channel = service_module._Channel(multiprocessing.get_context())
+            monkeypatch.setattr(workers, "_channel", (channel.writer, channel.lock))
+            request = parse_request({**IMG, "id": "c", "stream": True})
+            pending = service_module._Pending(request, partials=asyncio.Queue())
+            token, ended = channel.open_job([pending])
+            workers._post(token, frame)
+            workers._post(token, None)
+            await asyncio.wait_for(ended.wait(), 5)
+            channel.retire()
+            return pending.partials.get_nowait()
+
+        assert asyncio.run(scenario()) == frame
+
+    def test_first_partial_arrives_while_the_worker_computes(self, monkeypatch):
+        """A partial reaches the client while its job still runs: the
+        stub worker holds after its first merge level until the test has
+        read that level's frame."""
+        reached, release = multiprocessing.Event(), multiprocessing.Event()
+        form_image = service_module.workers.form_image
+
+        def held(payload, emit=None):
+            def first_then_hold(level, n_levels, stage):
+                if level == 0:
+                    reached.set()  # set before the client can see level 0
+                emit(level, n_levels, stage)
+                if level == 0:
+                    release.wait(30)
+
+            return form_image(payload, first_then_hold if emit else None)
+
+        # In place before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(service_module.workers, "form_image", held)
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                writer.write(encode_frame({**IMG, "id": "live", "stream": True}))
+                await writer.drain()
+                first = await asyncio.wait_for(read_frame(reader), timeout=10)
+                held_then = reached.is_set() and not release.is_set()
+                release.set()
+                terminal = await read_until_terminal(reader)
+            finally:
+                release.set()
+                writer.close()
+                await writer.wait_closed()
+            return first, held_then, terminal
+
+        first, held_then, terminal = service_test(scenario)
+        assert first["type"] == "partial" and first["level"] == 0
+        assert held_then
+        assert terminal["type"] == "result" and terminal["cached"] is False
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_worker_death_mid_stream_answers_structured_frames(
+        self, tmp_path, monkeypatch, max_retries
+    ):
+        """A worker SIGKILLed after two merge levels breaks the pool: the
+        client sees those partials, then either the retried stream from
+        level 0 and its result, or a structured ``broken-pool``."""
+        marker = str(tmp_path / "kill")
+        form_image = service_module.workers.form_image
+
+        def dying(payload, emit=None):
+            def emit_then_die(level, n_levels, stage):
+                emit(level, n_levels, stage)
+                if level == 1:
+                    try:
+                        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                    except FileExistsError:
+                        return  # the retry computes
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            return form_image(payload, emit_then_die if emit else None)
+
+        monkeypatch.setattr(service_module.workers, "form_image", dying)
+
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                writer.write(encode_frame({**IMG, "id": "k", "stream": True}))
+                await writer.drain()
+                frames = []
+                while not frames or frames[-1]["type"] == "partial":
+                    frames.append(await asyncio.wait_for(read_frame(reader), 30))
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frames, health
+
+        frames, health = service_test(
+            scenario, allow_chaos=True, max_retries=max_retries,
+            retry_backoff_ms=2.0,
+        )
+        *partials, terminal = frames
+        assert all(p["type"] == "partial" and p["id"] == "k" for p in partials)
+        levels = [p["level"] for p in partials]
+        assert terminal["retries"] == max_retries
+        assert health["resilience"]["pool_rebuilds"] == 1
+        if max_retries:
+            n_levels = partials[0]["n_levels"]
+            assert levels == [0, 1] + list(range(n_levels + 1))
+            assert terminal["type"] == "result"
+            assert terminal["image"]["sha256"] == partials[-1]["sha256"]
+        else:
+            assert levels == [0, 1]
+            assert terminal["type"] == "error"
+            assert terminal["code"] == "broken-pool"
+
+    def test_streamed_repeat_is_a_hit_without_partials(self):
+        """A streamed repeat is answered from the response cache: the
+        ``result`` alone, byte-identical to the streamed compute."""
+
+        async def scenario(service):
+            cold = await one_shot(service, {**IMG, "id": "cold", "stream": True})
+            warm = await one_shot(service, {**IMG, "id": "warm", "stream": True})
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return cold, warm, health
+
+        (cold, cold_partials), (warm, warm_partials), health = service_test(scenario)
+        assert cold["cached"] is False and cold_partials
+        assert warm["type"] == "result" and warm["cached"] is True
+        assert warm_partials == []
+        assert warm["image"]["data_b64"] == cold["image"]["data_b64"]
+        assert (health["cache"]["hits"], health["cache"]["stores"]) == (1, 1)
+        assert health["streams"] == 2
+
+    def test_identical_streams_in_one_window_coalesce(self):
+        """Two identical streamed requests in one window share one
+        compute, and each gets every merge level -- the stage bytes only
+        where asked for."""
+
+        async def scenario(service):
+            frames = await asyncio.gather(
+                one_shot(service, {**IMG, "id": "a", "stream": True,
+                                   "stream_data": True}),
+                one_shot(service, {**IMG, "id": "b", "stream": True}),
+            )
+            return frames, service.stats.coalesced, service.stats.batches
+
+        ((a, a_partials), (b, b_partials)), coalesced, batches = service_test(
+            scenario, batch_window_ms=1000.0
+        )
+        assert (coalesced, batches) == (1, 1)
+        n_levels = a_partials[0]["n_levels"]
+        for partials, rid in ((a_partials, "a"), (b_partials, "b")):
+            assert [p["level"] for p in partials] == list(range(n_levels + 1))
+            assert {p["id"] for p in partials} == {rid}
+        assert all("stage" in p for p in a_partials)
+        assert not any("stage" in p for p in b_partials)
+        assert [p["sha256"] for p in a_partials] == [p["sha256"] for p in b_partials]
+        assert a["image"]["data_b64"] == b["image"]["data_b64"]
+
+    def test_streamed_shards_answer_the_batched_bytes(self):
+        """A streamed request with shards walks the serial merge tree; it
+        shares its cache entry with the batched sharded request, so the
+        bytes must agree."""
+
+        async def scenario(service):
+            request = {**IMG, "pulses": 64, "ranges": 65, "shards": 4}
+            streamed, _ = await one_shot(service, {**request, "id": "s", "stream": True})
+            batched, _ = await one_shot(service, {**request, "id": "b"})
+            return streamed, batched
+
+        streamed, batched = service_test(scenario, no_cache=True)
+        assert streamed["image"]["data_b64"] == batched["image"]["data_b64"]
+
 
 class TestContainment:
     """Satellite: malformed input never takes the connection down."""
@@ -360,15 +577,14 @@ class TestContainment:
         client-class ``oversized`` code, not ``internal``, counts one
         error, and leaves the connection usable.  A real stage frame is
         10-12 bytes under its request's decode-time result bound (measured
-        at 2-256 pulses), so a stub streamer emits the oversized partial."""
+        at 2-256 pulses), so a stub worker emits an oversized stage."""
 
-        def oversized_stream(payload, emit, stream_data=False):
-            emit({"level": 0, "pad": "x" * 20000})
+        def oversized_stream(payload, emit=None):
+            emit(0, 1, np.zeros((4, 1024), np.complex64))
             return {"image": None}
 
-        monkeypatch.setattr(
-            service_module.workers, "form_image_streaming", oversized_stream
-        )
+        # In place before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(service_module.workers, "form_image", oversized_stream)
 
         async def scenario(service):
             reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
@@ -407,12 +623,10 @@ class TestContainment:
         result frame that still overflows answers ``oversized``, counts
         one error, and leaves the connection usable."""
 
-        def oversized_result(payload, emit, stream_data=False):
+        def oversized_result(payload, emit=None):
             return {"pad": "x" * 20000}
 
-        monkeypatch.setattr(
-            service_module.workers, "form_image_streaming", oversized_result
-        )
+        monkeypatch.setattr(service_module.workers, "form_image", oversized_result)
 
         async def scenario(service):
             reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
@@ -550,6 +764,45 @@ class TestFrameBound:
                 encode_frame(response, self.LIMIT)
 
 
+class TestServedBytes:
+    """A miss at the ``serve-mixed`` benchmark's 128x129 size, computed
+    by a fresh pool worker with a cold geometry memo, equals a direct
+    ``workers.form_image`` in this process with its memo warm."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"interpolation": "bilinear"},
+            {"interpolation": "cubic_range"},
+            {"phase_correction": True},
+            {"algorithm": "rda"},
+        ],
+        ids=["ffbp-nearest", "ffbp-bilinear", "ffbp-cubic", "ffbp-phase", "rda"],
+    )
+    def test_cold_worker_equals_warm_direct(self, fields):
+        from repro.perf import clear_memo, memo_stats
+        from repro.serve.protocol import parse_request
+
+        request = {"kind": "image", "pulses": 128, "ranges": 129,
+                   "noise_seed": 20130821, **fields}
+        clear_memo()  # the worker forks from this process: it starts cold
+
+        async def scenario(service):
+            frame, _ = await one_shot(service, {**request, "id": "cold"})
+            return frame
+
+        served = service_test(scenario, workers=1, no_cache=True)
+        assert served["type"] == "result" and served["cached"] is False
+        payload = parse_request(request).payload()
+        service_module.workers.form_image(payload)  # warms this memo
+        if fields.get("algorithm", "ffbp") == "ffbp":
+            assert memo_stats()["entries"] > 0
+        direct = service_module.workers.form_image(payload)
+        assert served["image"]["data_b64"] == direct["image"]["data_b64"]
+        assert served["image"]["sha256"] == direct["image"]["sha256"]
+
+
 class TestDeadlines:
     def test_deadline_yields_structured_timeout(self):
         async def scenario(service):
@@ -605,25 +858,14 @@ class TestOneDeadlineRule:
         assert frame["id"] == "late"
         assert health["deadline_misses"] == 1
 
-    def test_streaming_done_job_past_deadline_is_a_miss(self, monkeypatch):
-        def overrun(payload, emit, stream_data=False):
-            time.sleep(OVERRUN_S)
-            return {"image": None}
-
-        monkeypatch.setattr(
-            service_module.workers, "form_image_streaming", overrun
-        )
-
+    def test_streaming_done_job_past_deadline_is_a_miss(self):
         async def scenario(service):
-            loop = asyncio.get_running_loop()
+            async def enqueue_done(pending):
+                time.sleep(OVERRUN_S)
+                pending.partials.put_nowait(None)  # the stream's end
+                pending.future.set_result(("ok", {"image": None}, False))
 
-            def run_inline(executor, fn, *args):
-                """Run the job on submit: it is done before it is awaited."""
-                future = loop.create_future()
-                future.set_result(fn(*args))
-                return future
-
-            monkeypatch.setattr(loop, "run_in_executor", run_inline)
+            service._enqueue = enqueue_done
             frame, _ = await one_shot(
                 service, {**IMG, "id": "late", "stream": True, "deadline_ms": 1}
             )
@@ -634,6 +876,7 @@ class TestOneDeadlineRule:
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
         assert "stream exceeded its 1" in frame["detail"]
+        assert frame["retries"] == 0  # the batched decision path answered
         assert health["deadline_misses"] == 1
 
 
