@@ -37,7 +37,7 @@ SECONDS = 10
 CEILING_FACTOR = 2.0
 BASELINE_P50_MS = {
     "table1-event": 214.0,
-    "sweep-analytic": 52.1,
+    "sweep-analytic": 42.0,
     "verify-quick": 512.0,
 }
 WORKLOADS = [

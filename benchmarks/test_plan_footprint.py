@@ -5,7 +5,8 @@ child indices over chunks of parent beams and keeps only per-row
 reductions.  Before it did, a cold paper-scale plan built and memoised
 the full stage maps of all ten merge stages: a ``tracemalloc`` peak of
 160 MB with the memo off (209 MB with it on) and eleven memo entries.
-Streamed, the peak is 2.9 MB on a 2-core x86 host and the plan is the
+Streamed, the peak is 1.1 MB on a 2-core x86 host (2.9 MB before the
+planner reused one set of chunk buffers per stage) and the plan is the
 only entry.
 
 Run with ``pytest benchmarks/test_plan_footprint.py -s`` to see the

@@ -19,7 +19,10 @@ The paper's equations, reproduced exactly:
     \\theta_2 &= \\pi - \\cos^{-1}\\!\\big((r_2^2 + (l/2)^2 - r^2) / (r_2 l)\\big)
 
 All functions are vectorised over ``r`` and ``theta`` and broadcast
-against each other.
+against each other.  :func:`child_range` and :func:`child_angle` give
+one child at a time and can write into caller buffers, so a planner can
+stream both children through the same few arrays; :func:`child_ranges`,
+:func:`child_angles` and :func:`combine_geometry` return both children.
 """
 
 from __future__ import annotations
@@ -43,6 +46,74 @@ class CombineGeometry(NamedTuple):
     second: ChildSample
 
 
+def child_range(
+    r: np.ndarray,
+    theta: np.ndarray,
+    l: float,
+    child: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Range ``r_child`` from one child phase centre (eq. 1 or 2).
+
+    ``child`` is 1 (centre at ``-l/2``, eq. 1) or 2 (``+l/2``, eq. 2).
+    ``out``, if given, receives the broadcast ``(r, theta)`` grid and
+    is returned; the values do not depend on whether it is given.
+    """
+    _check_child(child)
+    r = np.asarray(r, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
+    half = 0.5 * l
+    # r_i = sqrt((r*r + half*half) - (2*r*half) * cos(.)), evaluated in
+    # place in exactly that operation order: the broadcast (r, theta)
+    # grid is the only large operand, so the equation writes one grid
+    # array instead of three.  cos(pi - theta) = -cos(theta); writing
+    # both out keeps the code a transcription of eqs. 1 and 2.
+    cos = np.cos(np.pi - theta) if child == 1 else np.cos(theta)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(r.shape, theta.shape))
+    np.multiply(2.0 * r * half, cos, out=out)
+    np.subtract(r * r + half * half, out, out=out)
+    return np.sqrt(out, out=out)
+
+
+def child_angle(
+    r: np.ndarray,
+    l: float,
+    ri: np.ndarray,
+    child: int,
+    out: np.ndarray | None = None,
+    den: np.ndarray | None = None,
+) -> np.ndarray:
+    """Angle ``theta_child`` at one child phase centre (eq. 3 or 4).
+
+    ``ri`` is that child's range from :func:`child_range`.  ``out``
+    receives the angles and ``den`` is scratch for the denominator;
+    both, if given, must have the broadcast shape and must not alias
+    ``ri``.  The values do not depend on whether they are given.
+    """
+    _check_child(child)
+    r = np.asarray(r, dtype=np.float64)
+    half = 0.5 * l
+    grid = np.broadcast_shapes(r.shape, ri.shape)
+    # c_i = ((r_i*r_i + half*half) - r*r) / (r_i*l), in place in that
+    # operation order (see child_range).
+    c = np.multiply(ri, ri, out=np.empty(grid) if out is None else out)
+    c += half * half
+    c -= r * r
+    c /= np.multiply(ri, l, out=np.empty(grid) if den is None else den)
+    # Guard the arccos argument against round-off excursions past +-1.
+    np.clip(c, -1.0, 1.0, out=c)
+    np.arccos(c, out=c)
+    if child == 2:
+        np.subtract(np.pi, c, out=c)
+    return c
+
+
+def _check_child(child: int) -> None:
+    if child not in (1, 2):
+        raise ValueError(f"child must be 1 or 2, got {child!r}")
+
+
 def child_ranges(
     r: np.ndarray, theta: np.ndarray, l: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -56,23 +127,7 @@ def child_ranges(
         Child subaperture length in metres; child centres sit at
         ``-l/2`` and ``+l/2`` from the parent centre.
     """
-    r = np.asarray(r, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    half = 0.5 * l
-    # r_i = sqrt((r*r + half*half) - (2*r*half) * cos(.)), evaluated in
-    # place in exactly that operation order: the broadcast (r, theta)
-    # grid is the only large operand, so each equation allocates one
-    # grid array instead of three.  cos(pi - theta) = -cos(theta);
-    # writing both out keeps the code a transcription of eqs. 1 and 2.
-    grid = np.broadcast_shapes(r.shape, theta.shape)
-    base = r * r + half * half
-    two_r_half = 2.0 * r * half
-    r1 = np.multiply(two_r_half, np.cos(np.pi - theta), out=np.empty(grid))
-    r2 = np.multiply(two_r_half, np.cos(theta), out=np.empty(grid))
-    for ri in (r1, r2):
-        np.subtract(base, ri, out=ri)
-        np.sqrt(ri, out=ri)
-    return r1, r2
+    return child_range(r, theta, l, 1), child_range(r, theta, l, 2)
 
 
 def child_angles(
@@ -87,28 +142,9 @@ def child_angles(
     ``r1``/``r2`` may be passed to reuse values from
     :func:`child_ranges`; otherwise they are recomputed.
     """
-    r = np.asarray(r, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
     if r1 is None or r2 is None:
         r1, r2 = child_ranges(r, theta, l)
-    half = 0.5 * l
-    # c_i = ((r_i*r_i + half*half) - r*r) / (r_i*l), in place in that
-    # operation order (see child_ranges).
-    grid = np.broadcast_shapes(r.shape, r1.shape, r2.shape)
-    rr = r * r
-    den = np.empty(grid)
-    angles = []
-    for ri in (r1, r2):
-        c = np.multiply(ri, ri, out=np.empty(grid))
-        c += half * half
-        c -= rr
-        c /= np.multiply(ri, l, out=den)
-        # Guard the arccos argument against round-off excursions past +-1.
-        np.clip(c, -1.0, 1.0, out=c)
-        angles.append(np.arccos(c, out=c))
-    theta1, theta2 = angles
-    np.subtract(np.pi, theta2, out=theta2)
-    return theta1, theta2
+    return child_angle(r, l, r1, 1), child_angle(r, l, r2, 2)
 
 
 def combine_geometry(r: np.ndarray, theta: np.ndarray, l: float) -> CombineGeometry:

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.cosine import (
+    child_angle,
     child_angles,
+    child_range,
     child_ranges,
     combine_geometry,
     exact_child_geometry,
@@ -54,6 +56,30 @@ class TestChildAngles:
         a = child_angles(r, th, 12.0)
         b = child_angles(r, th, 12.0, r1=r1, r2=r2)
         assert np.allclose(a, b)
+
+
+class TestOneChildIntoBuffers:
+    def test_buffers_hold_the_pair_functions_bytes(self):
+        """One child at a time into reused caller buffers gives exactly
+        the arrays of the two-child functions."""
+        r = np.linspace(500.0, 900.0, 33)[None, :]
+        th = np.linspace(1.2, 1.9, 7)[:, None]
+        geom = combine_geometry(r, th, l=16.0)
+        r_buf, th_buf, den = (np.full((7, 33), np.nan) for _ in range(3))
+        for child, want in ((1, geom.first), (2, geom.second)):
+            ri = child_range(r, th, 16.0, child, out=r_buf)
+            ti = child_angle(r, 16.0, ri, child, out=th_buf, den=den)
+            assert ri is r_buf and ti is th_buf
+            assert ri.tobytes() == want.r.tobytes()
+            assert ti.tobytes() == want.theta.tobytes()
+
+    @pytest.mark.parametrize("child", [0, 3])
+    def test_rejects_unknown_child(self, child):
+        r, th = np.array([800.0]), np.array([1.4])
+        with pytest.raises(ValueError, match="child must be 1 or 2"):
+            child_range(r, th, 12.0, child)
+        with pytest.raises(ValueError, match="child must be 1 or 2"):
+            child_angle(r, 12.0, r, child)
 
 
 class TestCombineGeometry:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.geometry.apertures import SubapertureTree
 from repro.kernels.cpu_ref import run_ffbp_cpu
 from repro.kernels.ffbp_common import FfbpPlan, plan_ffbp, plan_stage
 from repro.kernels.ffbp_seq import run_ffbp_seq_epiphany
 from repro.kernels.ffbp_spmd import _core_row_spans, run_ffbp_spmd
 from repro.machine.chip import EpiphanyChip
 from repro.machine.cpu import CpuMachine
+from repro.perf import memo_disabled
 from repro.sar.config import RadarConfig
 
 
@@ -74,6 +76,40 @@ class TestPlan:
         one = plan_ffbp(small_cfg, window_bytes=2 * small_cfg.n_ranges * 8)
         for s in one.stages:
             assert s.window_rows == 1
+
+    @pytest.mark.parametrize(
+        "window", [-1, -100000, 1.5, float("nan"), float("inf"), "16016", None]
+    )
+    def test_unplannable_window_is_refused(self, small_cfg, window):
+        """A negative window once planned ``window_rows < 0`` and a
+        negative prefetch count; a fractional one was keyed as its int
+        but built with the float."""
+        with pytest.raises(ValueError, match="integer >= 0"):
+            plan_ffbp(small_cfg, window)
+        tree = SubapertureTree(small_cfg.n_pulses, small_cfg.spacing, 2)
+        with pytest.raises(ValueError, match="integer >= 0"):
+            plan_stage(small_cfg, tree, 1, window)
+
+    @pytest.mark.parametrize("window", [np.int64(16016), 16016.0])
+    def test_integral_window_is_built_as_its_int(self, small_cfg, window):
+        with memo_disabled():
+            plan = plan_ffbp(small_cfg, window)
+        assert type(plan.window_bytes) is int
+        assert plan.window_bytes == 16016
+        assert all(type(s.window_rows) is int for s in plan.stages)
+
+    def test_sweep_class_plan_arrays_are_compact(self):
+        """A 1024-pulse plan's per-row arrays once took 81,840 bytes
+        (all int64 or float64); the int32 rows hold them to 60%."""
+        cfg = RadarConfig.paper().with_(n_pulses=1024, n_ranges=400)
+        with memo_disabled():
+            plan = plan_ffbp(cfg)
+        nbytes = sum(
+            s.valid_frac.nbytes + s.reads_row_total.nbytes
+            + s.reads_row_ext.nbytes + s.med_row.nbytes
+            for s in plan.stages
+        )
+        assert nbytes <= 0.6 * 81_840
 
 
 class TestCoreRowSpans:
