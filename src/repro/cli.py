@@ -13,9 +13,10 @@ driven without writing Python:
 - ``verify``      cross-backend conformance gate (oracles, golden
   snapshots, fuzz drivers; see :mod:`repro.verify`),
 - ``serve``       long-running async image-formation service over a
-  length-prefixed JSON protocol (see :mod:`repro.serve`): batched
-  scheduling, content-addressed response cache, streamed FFBP merge
-  levels, structured deadline/stall responses,
+  length-prefixed JSON protocol (see :mod:`repro.serve`): identical
+  misses coalesced onto one in-flight compute, content-addressed
+  response cache, streamed FFBP merge levels, structured
+  deadline/stall responses,
 - ``load``        load generator + latency harness against a running
   ``serve`` (p50/p99 under N concurrent clients, ``repro-load/1``
   JSON output).
@@ -308,7 +309,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
         max_frame_bytes=args.max_frame_bytes,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
@@ -328,8 +328,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await service.start()
         print(
             f"serve: listening on {settings.host}:{service.port} "
-            f"({settings.workers}-process pool, "
-            f"{settings.batch_window_ms:g} ms batch window)",
+            f"({settings.workers}-process pool)",
             file=sys.stderr,
             flush=True,
         )
@@ -346,7 +345,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         s = service.stats
         print(
             f"serve: shut down cleanly -- {s.served} responses, "
-            f"{s.errors} errors, {s.batches} batches "
+            f"{s.errors} errors, {s.batches} pool jobs "
             f"({s.coalesced} coalesced), {s.streams} streams",
             file=sys.stderr,
         )
@@ -646,14 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes computing cache misses (default: %(default)s)",
-    )
-    p.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="how long a cache miss waits for batchable company; "
-        "cache hits are answered at once (default: %(default)s)",
     )
     p.add_argument(
         "--max-frame-bytes",

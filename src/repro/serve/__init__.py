@@ -3,10 +3,10 @@
 The layer *above* the batch CLI (docs/architecture.md §14): a
 long-running asyncio server that accepts image-formation and kernel-
 profiling requests over a length-prefixed JSON protocol
-(:mod:`repro.serve.protocol`), batches compatible requests, schedules
-them onto the execution layer with the content-addressed
-:class:`~repro.exec.cache.ResultCache` as a response cache, and
-streams partial FFBP merge levels back as they complete
+(:mod:`repro.serve.protocol`), coalesces identical misses onto one
+in-flight compute on a process pool, keeps results in the
+content-addressed :class:`~repro.exec.cache.ResultCache` as a response
+cache, and streams partial FFBP merge levels back as they complete
 (:mod:`repro.serve.service`).  :mod:`repro.serve.load` is the paired
 load generator / latency-percentile harness (``repro load``), emitting
 one ``repro-load/1`` JSON document per run.

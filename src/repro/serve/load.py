@@ -49,9 +49,15 @@ conditions: a diagnosed fault, a missed deadline, or admission-control
 backpressure.  Everything else (``internal``, protocol errors) is an
 unstructured failure -- the thing resilience CI gates on being zero."""
 
+TERMINAL_TYPES = ("result", "error", "health", "ok")
+"""Frame types that end one request on the wire; its ``partial``
+frames come before."""
+
 __all__ = [
     "LOAD_SCHEMA",
     "STRUCTURED_ERROR_CODES",
+    "TERMINAL_TYPES",
+    "read_terminal",
     "run_load",
     "format_load",
     "percentile",
@@ -83,22 +89,28 @@ def _p50_p99(samples: list[float]) -> dict[str, float | None]:
     }
 
 
-async def _request(reader, writer, obj: dict) -> tuple[dict, float]:
-    """Send one request, await its terminal frame, return (frame, ms).
+async def read_terminal(reader, partials: list | None = None) -> dict:
+    """The next terminal frame on ``reader``; the ``partial`` frames
+    before it are skipped, or appended to ``partials``.  Each frame must
+    arrive within 30 s."""
+    while True:
+        frame = await asyncio.wait_for(read_frame(reader), 30.0)
+        if frame is None:
+            raise ConnectionError("connection closed before a terminal frame")
+        if frame.get("type") in TERMINAL_TYPES:
+            return frame
+        if partials is not None:
+            partials.append(frame)
 
-    ``partial`` frames (streaming merge levels) are consumed but do not
-    terminate the wait; latency is measured to the ``result``/``error``
-    frame.
-    """
+
+async def _request(reader, writer, obj: dict) -> tuple[dict, float]:
+    """Send one request, await its terminal frame, return (frame, ms):
+    the latency to the ``result``/``error`` frame, past any partials."""
     t0 = time.perf_counter()
     writer.write(encode_frame(obj))
     await writer.drain()
-    while True:
-        frame = await read_frame(reader)
-        if frame is None:
-            raise ConnectionError("server closed the connection mid-request")
-        if frame.get("type") in ("result", "error", "health", "ok"):
-            return frame, (time.perf_counter() - t0) * 1e3
+    frame = await read_terminal(reader)
+    return frame, (time.perf_counter() - t0) * 1e3
 
 
 async def _client(

@@ -67,7 +67,7 @@ class AdmissionController:
     the deterministic cousin of randomized backoff.
     """
 
-    def __init__(self, budget: int, retry_after_ms: float = 50.0) -> None:
+    def __init__(self, budget: int, retry_after_ms: float = 20.0) -> None:
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         if retry_after_ms <= 0:

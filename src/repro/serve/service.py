@@ -1,7 +1,7 @@
 """The asyncio image-formation service (``repro serve``).
 
 The service is *glue, not physics* (docs/architecture.md §14-15): it
-owns sockets, framing, batching and deadlines, and every answer comes
+owns sockets, framing, coalescing and deadlines, and every answer comes
 from a lower layer -- the task functions of :mod:`repro.serve.workers`
 run through :func:`~repro.exec.runner.invoke` on one process pool, a
 :class:`~repro.exec.cache.ResultCache` is the content-addressed
@@ -11,21 +11,22 @@ policies.
 
 Every work request takes one path.  It first looks up the response
 cache, once per attempt, on the event loop; a hit is answered there
-and then.  A miss lands on the queue; a batcher waits
-``batch_window_ms`` for company, coalesces identical misses onto one
-compute and submits each payload to the pool; the loop stores each
-computed value in the cache.  A measured elapsed time past the
-request's deadline answers a structured ``deadline``; a worker death
-fails every job in flight with ``broken-pool``, which the serve-level
-retry (the only retry loop in the stack) runs again on the pool,
-rebuilt once per break.  A streamed FFBP is such a miss too: its
-worker posts each merge level on the pool's partial channel as it
-completes, and the loop forwards them as ``partial`` frames ahead of
-the ``result``.  A streamed hit answers the ``result`` alone (partials
-report the progress of a compute), and a stream retried after a broken
-pool streams again from level 0.  ``close()`` drains: queued and
-in-flight requests get their terminal response before the listener and
-the pool go away.
+and then.  A miss joins the in-flight job computing its payload, or
+submits a new job to the pool at once: the in-flight table holds one
+job per payload digest, and a job stores its value in the cache and
+leaves the table in one synchronous step, so every request sees either
+a hit or the live job.  A measured elapsed time past the request's
+deadline answers a structured ``deadline``; a worker death fails every
+job in flight with ``broken-pool``, which the serve-level retry (the
+only retry loop in the stack) runs again on the pool, rebuilt once per
+break.  A streamed FFBP is such a miss too: its worker posts each merge
+level on the pool's partial channel as it completes, and the loop
+forwards them as ``partial`` frames ahead of the ``result``; a stream
+that joins a job late gets the levels already routed first.  A streamed
+hit answers the ``result`` alone (partials report the progress of a
+compute), and a stream retried after a broken pool streams again from
+level 0.  ``close()`` drains: in-flight requests get their terminal
+response before the listener and the pool go away.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ import asyncio
 import dataclasses
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.exec.cache import ResultCache, code_version, stable_digest
 from repro.exec.runner import TaskFailure, invoke
@@ -84,7 +86,6 @@ class ServeSettings:
     workers: int = 1
     """Width of the one process pool that computes every miss;
     one worker leaves a core of a 2-core host to the event loop."""
-    batch_window_ms: float = 5.0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     cache_dir: str | None = None
     """Response-cache directory; ``None`` uses a private temporary
@@ -118,10 +119,6 @@ class ServeSettings:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.batch_window_ms < 0:
-            raise ValueError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
         if self.max_frame_bytes < 1024:
             raise ValueError(
                 f"max_frame_bytes must be >= 1024, got {self.max_frame_bytes}"
@@ -139,10 +136,13 @@ class ServeSettings:
             raise ValueError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.retry_backoff_ms <= 0:
-            raise ValueError(
-                f"retry_backoff_ms must be positive, got {self.retry_backoff_ms}"
-            )
+        # The protocol's per-request rule, for the server-wide default.
+        for name in ("default_deadline_ms", "retry_backoff_ms"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}"
+                )
         if self.breaker_failures < 0:
             raise ValueError(
                 f"breaker_failures must be >= 0, got {self.breaker_failures}"
@@ -164,7 +164,9 @@ class ServeStats:
     served: int = 0
     errors: int = 0
     batches: int = 0
+    """Jobs submitted to the pool (one per computed miss)."""
     coalesced: int = 0
+    """Requests that joined a job already in flight for their payload."""
     deadline_misses: int = 0
     streams: int = 0
     contained_faults: int = 0
@@ -177,19 +179,53 @@ class ServeStats:
     last_blame: dict | None = None
 
 
-@dataclass
-class _Pending:
-    """One batchable request (a cache miss) waiting for its compute.
+class _Job:
+    """One pool job: the compute of one payload, and the requests that
+    joined it.
 
-    The future resolves to ``("ok", value, False)`` or
-    ``("fail", kind, text)`` -- never an exception for a *task-level*
-    failure, so the dispatch side can classify retryability.  A streamed
-    request also has ``partials``: the partial frames of its compute as
-    they arrive, then ``None`` once its outcome is set."""
+    ``stream`` is ``None`` for a job that streams nothing, else whether
+    its worker posts the stage bytes (``stream_data``).  Each streamed
+    waiter has a queue of partial frames, ended by ``None``; ``backlog``
+    keeps every partial routed so far, so a stream that joins late still
+    gets every level.  ``task`` runs the job and returns its outcome."""
 
-    request: ImageRequest | ProfileRequest
-    future: asyncio.Future = field(default_factory=asyncio.Future)
-    partials: asyncio.Queue | None = None
+    def __init__(self, stream: bool | None) -> None:
+        self.stream = stream
+        self.backlog: list[tuple[dict, dict]] = []  # (frame, lean frame)
+        self.queues: list[tuple[asyncio.Queue, bool]] = []
+        self.task: asyncio.Task | None = None
+
+    def serves(self, stream: bool | None) -> bool:
+        """Whether a request streaming at ``stream`` (same meaning) may
+        join: every job serves an unstreamed request, a ``stream_data``
+        job every stream, and a lean job lean streams only."""
+        if stream is None:
+            return True
+        return self.stream is not None and (self.stream or not stream)
+
+    def join(self, stream: bool | None) -> asyncio.Queue | None:
+        """Add a waiter; a streamed one gets its partial queue, holding
+        the backlog already."""
+        if stream is None:
+            return None
+        queue: asyncio.Queue = asyncio.Queue()
+        for frame, lean in self.backlog:
+            queue.put_nowait(frame if stream else lean)
+        self.queues.append((queue, stream))
+        return queue
+
+    def route(self, frame: dict) -> None:
+        """Keep one partial and hand it to every streamed waiter; the
+        ``stage`` bytes go only to those that asked ``stream_data``."""
+        lean = {k: v for k, v in frame.items() if k != "stage"}
+        self.backlog.append((frame, lean))
+        for queue, data in self.queues:
+            queue.put_nowait(frame if data else lean)
+
+    def end(self) -> None:
+        """End every waiter's stream."""
+        for queue, _ in self.queues:
+            queue.put_nowait(None)
 
 
 class _Channel:
@@ -199,8 +235,8 @@ class _Channel:
     a lock (:func:`repro.serve.workers.compute`); ``frame`` is ``None``
     at the end of a job.  The loop reads without blocking, so a message
     torn by a worker killed mid-write stays unread instead of stalling
-    the loop, and routes each partial to the streaming waiters of its
-    job.  The break of its pool retires the channel with it."""
+    the loop, and routes each partial to its job.  The break of its
+    pool retires the channel with it."""
 
     def __init__(self, ctx) -> None:
         self.reader, self.writer = ctx.Pipe(duplex=False)
@@ -209,18 +245,17 @@ class _Channel:
         os.set_blocking(self.fd, False)
         self._buf = bytearray()
         self._tokens = itertools.count()
-        self.jobs: dict[int, tuple[list[_Pending], asyncio.Event]] = {}
+        self.jobs: dict[int, tuple[_Job, asyncio.Event]] = {}
 
-    def open_job(self, waiters: list[_Pending]) -> tuple[int, asyncio.Event]:
+    def open_job(self, job: _Job) -> tuple[int, asyncio.Event]:
         """Token of a streamed job, and the event its end marker sets."""
         token, ended = next(self._tokens), asyncio.Event()
-        self.jobs[token] = (waiters, ended)
+        self.jobs[token] = (job, ended)
         asyncio.get_running_loop().add_reader(self.fd, self.route)
         return token, ended
 
     def route(self) -> None:
-        """Route every complete message readable now; the ``stage`` bytes
-        go only to waiters that asked ``stream_data``."""
+        """Route every complete message readable now to its job."""
         try:
             while chunk := os.read(self.fd, 1 << 16):
                 self._buf += chunk
@@ -229,15 +264,13 @@ class _Channel:
         *lines, self._buf = self._buf.split(b"\n")
         for line in lines:
             token, frame = json.loads(line)
-            waiters, ended = self.jobs.get(token, ((), asyncio.Event()))
+            if token not in self.jobs:  # its job has already settled
+                continue
+            job, ended = self.jobs[token]
             if frame is None:
                 ended.set()
-                continue
-            lean = {k: v for k, v in frame.items() if k != "stage"}
-            for pending in waiters:
-                pending.partials.put_nowait(
-                    frame if pending.request.stream_data else lean
-                )
+            else:
+                job.route(frame)
 
     def retire(self) -> None:
         """Route what is left, stop reading, close, and release every
@@ -261,9 +294,7 @@ class ImageService:
         self.settings = settings or ServeSettings()
         self.stats = ServeStats()
         self._server: asyncio.AbstractServer | None = None
-        self._queue: asyncio.Queue[_Pending] = asyncio.Queue()
-        self._batcher: asyncio.Task | None = None
-        self._group_tasks: set[asyncio.Task] = set()
+        self._inflight: dict[str, _Job] = {}  # payload digest -> its job
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._handlers: dict = {}  # writer -> its connection handler task
         self._pool, self._channel = self._new_pool()
@@ -277,10 +308,7 @@ class ImageService:
 
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-serve-")
             self._cache = ResultCache(self._tmpdir.name)
-        self._admission = AdmissionController(
-            budget=self.settings.max_inflight,
-            retry_after_ms=max(self.settings.batch_window_ms, 1.0) * 4,
-        )
+        self._admission = AdmissionController(budget=self.settings.max_inflight)
         self._retry = RetryPolicy(
             max_retries=self.settings.max_retries,
             base_ms=self.settings.retry_backoff_ms,
@@ -311,7 +339,6 @@ class ImageService:
             self._on_client, self.settings.host, self.settings.port
         )
         self._started = time.monotonic()
-        self._batcher = asyncio.create_task(self._batch_loop())
 
     async def serve_until_shutdown(self) -> None:
         """Block until a ``shutdown`` request (or :meth:`close`)."""
@@ -323,41 +350,22 @@ class ImageService:
         terminal response.
 
         Order matters: mark closing (admission rejects new work with a
-        structured "draining" answer), stop listening, stop the
-        batcher, flush whatever it left on the queue as a group, then
-        settle dispatch/group tasks to quiescence -- a draining retry
-        re-enters through :meth:`_enqueue`, which runs it as its own
-        group once the batcher is gone, so no future is ever orphaned.
-        Only then close lingering idle connections (their handlers are
-        parked in ``read_frame``), wait for their handlers to finish,
-        and close the pool.
+        structured "draining" answer), stop listening, then settle the
+        dispatch tasks and the in-flight jobs to quiescence -- a retry
+        already backing off may still submit a job.  Only then close
+        lingering idle connections (their handlers are parked in
+        ``read_frame``), wait for their handlers to finish, and close
+        the pool.
         """
         self._closing = True
         self._shutdown.set()
         if self._server is not None:
             self._server.close()
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
-        while True:
-            leftovers = []
-            while not self._queue.empty():
-                leftovers.append(self._queue.get_nowait())
-            if leftovers:
-                self._spawn_group(leftovers)
-            tasks = [
-                t
-                for t in (*self._dispatch_tasks, *self._group_tasks)
-                if not t.done()
-            ]
-            if not leftovers and not tasks:
-                break
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+        jobs = self._inflight.values()
+        while tasks := [
+            t for t in (*self._dispatch_tasks, *(j.task for j in jobs)) if not t.done()
+        ]:
+            await asyncio.gather(*tasks, return_exceptions=True)
         # Closing a writer flushes it, then ends its handler's read with
         # EOF: wait for the handlers, so none is left to the loop's
         # teardown.  A peer that does not read its last frames within
@@ -484,7 +492,7 @@ class ImageService:
     async def _run_admitted(self, request, send) -> None:
         """One admitted work request, releasing its admission slot."""
         try:
-            await self._run_batched(request, send)
+            await self._run_request(request, send)
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
@@ -507,15 +515,6 @@ class ImageService:
         await send({**error_response(req_id, code, detail), **extra})
 
     # -- request execution -----------------------------------------------
-
-    async def _enqueue(self, pending: _Pending) -> None:
-        """Hand a request to the batcher -- or, once the batcher is
-        gone (draining close), run it as its own group so its future
-        still resolves."""
-        if self._batcher is None:
-            self._spawn_group([pending])
-        else:
-            await self._queue.put(pending)
 
     def _retry_delay_s(
         self,
@@ -557,24 +556,43 @@ class ImageService:
         return ("ok", value, True) if found else None
 
     async def _compute(
-        self, request, deadline: float | None, t0: float, send=None
+        self, request, digest: str, deadline: float | None, t0: float, send=None
     ) -> tuple | None:
-        """Batch a cache miss and await its outcome -- forwarding its
-        partial frames with ``send`` meanwhile when it streams; ``None``
-        when the request's deadline runs out first."""
-        pending = _Pending(request, partials=None if send is None else asyncio.Queue())
-        await self._enqueue(pending)
+        """Join the in-flight job for a cache miss, or submit one, and
+        await its outcome -- forwarding its partial frames with ``send``
+        meanwhile when it streams; ``None`` when the request's deadline
+        runs out first.
+
+        Called right after the cache lookup, and nothing before the wait
+        yields the loop: the request joins or submits in the same step
+        as its miss."""
+        stream = None if send is None else request.stream_data
+        job = self._inflight.get(digest)
+        if job is not None and job.serves(stream):
+            self.stats.coalesced += 1
+        else:
+            # A stream that needs more detail than the live job posts
+            # submits its own; that job serves every later joiner.
+            job = self._inflight[digest] = _Job(stream)
+            job.task = asyncio.create_task(
+                self._run_job(digest, job, request.payload())
+            )
+            self.stats.batches += 1
+        queue = job.join(stream)
         timeout = None
         if deadline is not None:
             timeout = max(deadline - (time.perf_counter() - t0), 0.0)
         try:
-            return await asyncio.wait_for(_forward(pending, send), timeout=timeout)
+            return await asyncio.wait_for(
+                _forward(job, queue, request.id, send), timeout=timeout
+            )
         except asyncio.TimeoutError:
             return None
 
-    async def _run_batched(self, request, send) -> None:
-        """Every work request: cache lookup, else a batched compute,
-        then the deadline rule, the breaker and the retry loop."""
+    async def _run_request(self, request, send) -> None:
+        """Every work request: cache lookup, else a pool job (joined or
+        submitted), then the deadline rule, the breaker and the retry
+        loop."""
         t0 = time.perf_counter()
         deadline_ms = request.deadline_ms or self.settings.default_deadline_ms
         deadline = None if deadline_ms is None else deadline_ms / 1e3
@@ -591,13 +609,13 @@ class ImageService:
                 degraded = True
                 self.stats.degraded += 1
                 self._window.record("degraded")
-        retry_key = stable_digest(effective.payload())
+        digest = stable_digest(effective.payload())
         retries = 0
         while True:
             try:
-                # A hit is answered here, on the loop: no window, no pool.
+                # A hit is answered here, on the loop: no pool.
                 outcome = self._lookup(effective) or await self._compute(
-                    effective, deadline, t0, send if stream else None
+                    effective, digest, deadline, t0, send if stream else None
                 )
             except ProtocolError as exc:  # a partial frame over the limit
                 await self._send_error(
@@ -668,9 +686,7 @@ class ImageService:
                 # error is terminal.
                 _, fkind, ftext = outcome
                 retryable = fkind == "broken-pool"
-            delay = self._retry_delay_s(
-                retryable, retries, retry_key, deadline, t0
-            )
+            delay = self._retry_delay_s(retryable, retries, digest, deadline, t0)
             if delay is not None:
                 retries += 1
                 self.stats.retries += 1
@@ -706,80 +722,46 @@ class ImageService:
             request.id, err.get("code", "fault"), err.get("detail", ""), send, **extra
         )
 
-    # -- batching ---------------------------------------------------------
+    # -- pool jobs --------------------------------------------------------
 
-    async def _batch_loop(self) -> None:
-        """Drain the queue, gather a window, dispatch it as one group."""
-        loop = asyncio.get_running_loop()
-        window = self.settings.batch_window_ms / 1e3
-        while True:
-            batch = [await self._queue.get()]
-            deadline = loop.time() + window
-            while True:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except asyncio.TimeoutError:
-                    break
-            self._spawn_group(batch)
+    async def _run_job(self, digest: str, job: _Job, payload: dict) -> tuple:
+        """Run one job and settle its in-flight entry, then end its
+        streams; the job's waiters wake when this returns.
 
-    def _spawn_group(self, group: list[_Pending]) -> None:
-        task = asyncio.create_task(self._run_group(group))
-        self._group_tasks.add(task)
-        task.add_done_callback(self._group_tasks.discard)
-
-    async def _run_group(self, group: list[_Pending]) -> None:
-        self.stats.batches += 1
-        # Coalesce identical payloads: one compute, fanned out to all.
-        unique: dict[str, list[_Pending]] = {}
-        for pending in group:
-            unique.setdefault(
-                stable_digest(pending.request.payload()), []
-            ).append(pending)
-        self.stats.coalesced += len(group) - len(unique)
-        order = list(unique.values())
+        The value goes into the cache and the entry leaves the table in
+        one synchronous step, and a failed job leaves before any waiter
+        wakes, so a retry submits fresh work instead of joining a dead
+        job.  The entry is popped only while it is still this job's."""
         try:
-            outcomes = await asyncio.gather(*map(self._execute, order))
-        except Exception as exc:
-            outcomes = [exc] * len(order)
-        for waiters, outcome in zip(order, outcomes):
-            for pending in waiters:
-                if pending.partials is not None:
-                    pending.partials.put_nowait(None)  # ends its stream
-                if pending.future.done():  # its client timed out
-                    continue
-                if isinstance(outcome, Exception):
-                    pending.future.set_exception(outcome)
-                else:
-                    pending.future.set_result(outcome)
+            outcome = await self._execute(job, payload)
+            if outcome[0] == "ok" and self._cache is not None:
+                self._cache.put(response_key(self._cache, payload), outcome[1])
+            return outcome
+        finally:
+            if self._inflight.get(digest) is job:
+                del self._inflight[digest]
+            job.end()
 
-    async def _execute(self, waiters: list[_Pending]) -> tuple:
-        """Compute one miss on the pool for its coalesced ``waiters``:
-        ``("ok", value, False)``, stored in the cache here on the loop,
-        or ``("fail", kind, text)`` -- a task exception with the child's
+    async def _execute(self, job: _Job, payload: dict) -> tuple:
+        """Compute one miss on the pool: ``("ok", value, False)``, or
+        ``("fail", kind, text)`` -- a task exception with the child's
         traceback, or ``broken-pool`` for every task in flight when a
         worker dies -- never an exception, so one bad request cannot
-        poison its batch-mates.
+        poison the jobs beside it.
 
-        When some waiters stream, the job gets a token: its worker posts
-        the partials on the pool's channel, and the outcome waits for
-        the job's end marker, so every partial precedes the result."""
-        payload = waiters[0].request.payload()
+        A streamed job gets a token: its worker posts the partials on
+        the pool's channel, and the outcome waits for the job's end
+        marker, so every partial precedes the result."""
         key, pool, channel = _task_key(payload), self._pool, self._channel
-        streams = [p for p in waiters if p.partials is not None]
         args: tuple = (payload,)
-        if streams:
-            token, ended = channel.open_job(streams)
-            args = (payload, (token, any(p.request.stream_data for p in streams)))
+        if job.stream is not None:
+            token, ended = channel.open_job(job)
+            args = (payload, (token, job.stream))
         try:
             status, value, _ = await asyncio.wrap_future(
                 pool.submit(invoke, workers.compute, args, {})
             )
-            if streams:
+            if job.stream is not None:
                 await ended.wait()
         except BrokenProcessPool as exc:
             if pool is self._pool:  # rebuild once per break
@@ -791,14 +773,12 @@ class ImageService:
             failure = TaskFailure(key, "broken-pool", str(exc))
             return ("fail", failure.kind, failure.format())
         finally:
-            if streams:
+            if job.stream is not None:
                 del channel.jobs[token]
         if status == "err":
             etype, msg, tb = value
             failure = TaskFailure(key, "error", f"{etype}: {msg}", tb)
             return ("fail", failure.kind, failure.format())
-        if self._cache is not None:
-            self._cache.put(response_key(self._cache, payload), value)
         return ("ok", value, False)
 
     def _new_pool(self) -> tuple[ProcessPoolExecutor, _Channel]:
@@ -851,13 +831,14 @@ class ImageService:
         }
 
 
-async def _forward(pending: _Pending, send) -> tuple:
-    """Send a streamed request's partial frames as they arrive, then
-    return its outcome."""
-    if pending.partials is not None:
-        while (frame := await pending.partials.get()) is not None:
-            await send(dict(frame, id=pending.request.id, type="partial"))
-    return await pending.future
+async def _forward(job: _Job, queue: asyncio.Queue | None, req_id, send) -> tuple:
+    """Send a streamed waiter's partial frames as they arrive, then
+    return its job's outcome (shielded: a waiter that gives up leaves
+    the job running for the others)."""
+    if queue is not None:
+        while (frame := await queue.get()) is not None:
+            await send(dict(frame, id=req_id, type="partial"))
+    return await asyncio.shield(job.task)
 
 
 def _task_key(payload: dict) -> str:

@@ -385,10 +385,6 @@ on the ``analytic:*`` substitute the watchdog is never armed and the
 run completes -- so a tripped breaker has a real, deterministic
 degraded path to offer."""
 
-TERMINAL_TYPES = ("result", "error", "health", "ok")
-"""Frame types that terminate one request on the wire."""
-
-
 def _serve_record(frame: dict, minimal: bool = False) -> dict:
     """The decision-relevant projection of one terminal frame.
 
@@ -397,8 +393,8 @@ def _serve_record(frame: dict, minimal: bool = False) -> dict:
     encodes a *decision* -- outcome type/code, cache/degraded flags,
     retry count, result bytes (sha256) and model outputs (cycles) --
     is kept, so two same-seed executions must match byte-for-byte.
-    ``minimal`` drops the cache flag for requests whose batching
-    window (and hence coalesce-vs-cache-hit) is timing-dependent.
+    ``minimal`` drops the cache flag for requests whose
+    coalesce-vs-cache-hit outcome is timing-dependent.
     """
     rec: dict = {
         "id": frame.get("id"),
@@ -439,25 +435,11 @@ class _ServeClient:
         self.writer.write(encode_frame(obj))
         await self.writer.drain()
 
-    async def read_terminal(self, partials: list | None = None) -> dict:
-        """Next terminal frame; ``partial`` streaming frames before it
-        are skipped, or appended to ``partials``."""
-        import asyncio
-
-        from repro.serve.protocol import read_frame
-
-        while True:
-            frame = await asyncio.wait_for(read_frame(self.reader), timeout=30.0)
-            if frame is None:
-                raise ConnectionError("connection closed before a terminal frame")
-            if frame.get("type") in TERMINAL_TYPES:
-                return frame
-            if partials is not None:
-                partials.append(frame)
-
     async def request(self, obj: dict) -> dict:
+        from repro.serve.load import read_terminal
+
         await self.send(obj)
-        return await self.read_terminal()
+        return await read_terminal(self.reader)
 
     async def close(self) -> None:
         self.writer.close()
@@ -477,12 +459,12 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
     import asyncio
     import os
 
+    from repro.serve.load import read_terminal
     from repro.serve.service import ImageService, ServeSettings
 
     settings = ServeSettings(
         port=0,
         workers=2,
-        batch_window_ms=1.0,
         cache_dir=os.path.join(tmpdir, "cache"),
         max_inflight=8,
         max_connection_inflight=2,
@@ -535,12 +517,12 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
                 {**image, "id": rid, "noise_seed": img_seed + 4, "stream": True}
             )
             partials: list[dict] = []
-            frame = await main.read_terminal(partials)
+            frame = await read_terminal(main.reader, partials)
             records.append(
                 {**_serve_record(frame), "partials": [p.get("sha256") for p in partials]}
             )
 
-        # B. guaranteed deadline miss (budget far below the batch window).
+        # B. guaranteed deadline miss (budget far below any compute).
         records.append(
             _serve_record(
                 await main.request(
@@ -558,7 +540,7 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
                 _serve_record(await main.request({**stall_profile, "id": rid}))
             )
 
-        # D. pool self-healing: a worker SIGKILL fails the group with
+        # D. pool self-healing: a worker SIGKILL fails the job with
         # broken-pool and the serve-level retry heals it (h1).
         records.append(
             _serve_record(
@@ -602,7 +584,7 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
             await burst.send(
                 {**image, "id": f"b{i}", "noise_seed": img_seed + 2}
             )
-        burst_frames = [await burst.read_terminal() for _ in range(burst_n)]
+        burst_frames = [await read_terminal(burst.reader) for _ in range(burst_n)]
         by_id = {f.get("id"): f for f in burst_frames}
         duplicate_free = len(by_id) == burst_n
         burst_overloaded = sum(
@@ -641,7 +623,7 @@ async def _drive_chaos_serve(case: int, seed: int, tmpdir: str) -> dict:
         )
         await asyncio.sleep(0.05)  # let the server admit d0
         shut = await main.request({"id": "sd", "kind": "shutdown"})
-        drained_frame = await drainer.read_terminal()
+        drained_frame = await read_terminal(drainer.reader)
         from repro.serve.protocol import read_frame
 
         eof = await asyncio.wait_for(read_frame(drainer.reader), timeout=30.0)
@@ -750,7 +732,7 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
         Check(
             name=f"{prefix}.deadline",
             passed=by_id.get("a2", {}).get("code") == "deadline",
-            note="a sub-window deadline converts to a structured miss",
+            note="a deadline below any compute converts to a structured miss",
         )
     )
     # Degradation ladder: fault-wrapped specs (f2/f3) skip the replay

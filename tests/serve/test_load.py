@@ -42,9 +42,7 @@ class TestPercentile:
 class TestRunLoad:
     def _run(self, **load_kwargs):
         async def main():
-            service = ImageService(
-                ServeSettings(host="127.0.0.1", port=0, batch_window_ms=1.0)
-            )
+            service = ImageService(ServeSettings(host="127.0.0.1", port=0))
             await service.start()
             try:
                 return await run_load("127.0.0.1", service.port, **load_kwargs)
@@ -90,9 +88,7 @@ class TestRunLoad:
 
     def test_shutdown_after_stops_the_server(self):
         async def main():
-            service = ImageService(
-                ServeSettings(host="127.0.0.1", port=0, batch_window_ms=1.0)
-            )
+            service = ImageService(ServeSettings(host="127.0.0.1", port=0))
             await service.start()
             waiter = asyncio.create_task(service.serve_until_shutdown())
             doc = await run_load(

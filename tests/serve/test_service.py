@@ -2,7 +2,7 @@
 
 Every test spins up an :class:`ImageService` on an ephemeral port
 inside one ``asyncio.run`` and talks the real wire protocol to it, so
-framing, batching, caching, streaming and containment are exercised
+framing, coalescing, caching, streaming and containment are exercised
 exactly as ``repro serve`` runs them.
 """
 
@@ -14,15 +14,17 @@ import os
 import signal
 import struct
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.serve import ImageService, ServeSettings, decode_array, encode_frame, read_frame
+from repro.serve.load import read_terminal
 from repro.serve.protocol import ProtocolError
 from repro.serve import service as service_module
 
-FAST = dict(host="127.0.0.1", port=0, workers=2, batch_window_ms=1.0)
+FAST = dict(host="127.0.0.1", port=0, workers=2)
 
 
 def service_test(coro_fn, **settings):
@@ -39,7 +41,7 @@ def service_test(coro_fn, **settings):
     return asyncio.run(main())
 
 
-async def send_recv(reader, writer, obj, max_bytes=None):
+async def send_recv(reader, writer, obj):
     """One request; collect frames until the terminal one.
 
     Returns ``(terminal, partials)``.
@@ -47,13 +49,7 @@ async def send_recv(reader, writer, obj, max_bytes=None):
     writer.write(encode_frame(obj))
     await writer.drain()
     partials = []
-    while True:
-        frame = await read_frame(reader, max_bytes or (1 << 20))
-        assert frame is not None, "server closed the connection mid-request"
-        if frame.get("type") == "partial":
-            partials.append(frame)
-            continue
-        return frame, partials
+    return await read_terminal(reader, partials), partials
 
 
 async def one_shot(service, obj):
@@ -66,6 +62,70 @@ async def one_shot(service, obj):
 
 
 IMG = {"kind": "image", "pulses": 32, "ranges": 33}
+HELD = {**IMG, "noise_seed": 7}
+"""The image request the ``held`` fixture holds in its worker."""
+
+
+class FileFlag:
+    """A flag a pool worker polls.  Unlike a ``multiprocessing.Event``,
+    whose ``set()`` waits for every sleeping waiter to wake, it cannot
+    be wedged by a waiter that the pool kills mid-wait."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def set(self) -> None:
+        open(self.path, "a").close()
+
+    def is_set(self) -> bool:
+        return os.path.exists(self.path)
+
+    def wait(self, timeout: float) -> bool:
+        deadline = time.monotonic() + timeout
+        while not self.is_set() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.is_set()
+
+
+@pytest.fixture
+def held(monkeypatch, tmp_path):
+    """Hold every compute of ``HELD`` in its pool worker until
+    ``release`` is set; ``started`` (a fork-inherited process event) is
+    set once one holds.  A streamed compute holds after posting merge
+    levels 0 and 1, an unstreamed one before it starts.  Patched in
+    before the pool forks its workers, so they inherit it."""
+    started, release = multiprocessing.Event(), FileFlag(tmp_path / "release")
+    form_image = service_module.workers.form_image
+
+    def hold():
+        started.set()
+        release.wait(30)
+
+    def holding(payload, emit=None):
+        if payload.get("noise_seed") != HELD["noise_seed"]:
+            return form_image(payload, emit)
+        if emit is None:
+            hold()
+            return form_image(payload)
+
+        def emit_then_hold(level, n_levels, stage):
+            emit(level, n_levels, stage)
+            if level == 1:
+                hold()
+
+        return form_image(payload, emit_then_hold)
+
+    monkeypatch.setattr(service_module.workers, "form_image", holding)
+    yield SimpleNamespace(started=started, release=release)
+    release.set()
+
+
+async def until(predicate, timeout=10.0):
+    """Poll ``predicate`` until it holds or ``timeout`` runs out."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        await asyncio.sleep(0.005)
+    return predicate()
 
 
 class TestImagePath:
@@ -135,18 +195,30 @@ class TestImagePath:
         assert frame["cached"] is False
         assert health["cache"]["stores"] == 0
 
-    def test_identical_requests_in_one_window_coalesce(self):
+    def test_identical_requests_in_one_window_coalesce(self, held):
+        """A miss that arrives while an identical miss holds the worker
+        joins that job: one pool job, identical bytes.  The coalescing
+        window is the whole time the compute is in flight."""
+
         async def scenario(service):
-            async def client(tag):
-                return (await one_shot(service, {**IMG, "id": tag}))[0]
+            first = asyncio.create_task(one_shot(service, {**HELD, "id": "a"}))
+            try:
+                assert await asyncio.to_thread(held.started.wait, 30)
+                second = asyncio.create_task(one_shot(service, {**HELD, "id": "b"}))
+                joined = await until(lambda: service.stats.coalesced == 1)
+            finally:
+                held.release.set()
+            (a, _), (b, _) = await asyncio.gather(first, second)
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return joined, a, b, health
 
-            frames = await asyncio.gather(client("a"), client("b"), client("c"))
-            return frames, service.stats.coalesced
-
-        frames, coalesced = service_test(scenario, batch_window_ms=200.0)
-        shas = {f["image"]["sha256"] for f in frames}
-        assert len(shas) == 1
-        assert coalesced >= 1
+        joined, a, b, health = service_test(scenario)
+        assert joined
+        assert (health["coalesced"], health["batches"]) == (1, 1)
+        assert a["type"] == b["type"] == "result"
+        assert a["cached"] is b["cached"] is False
+        assert a["image"]["data_b64"] == b["image"]["data_b64"]
+        assert health["cache"]["stores"] == 1
 
     def test_distinct_seeds_do_not_coalesce(self):
         async def scenario(service):
@@ -159,37 +231,23 @@ class TestImagePath:
 
 
 class TestHitPath:
-    """A response-cache hit is answered on arrival: one lookup, no
-    batch window, no group, no worker."""
+    """A response-cache hit is answered on arrival: one lookup, no pool
+    job, no worker."""
 
-    def test_hit_is_answered_while_the_only_worker_is_busy(self, monkeypatch):
-        # Process events, patched in before the pool forks its worker.
-        started, release = multiprocessing.Event(), multiprocessing.Event()
-        form_image = service_module.workers.form_image
-
-        def blocking(payload):
-            if payload.get("noise_seed") == 7:
-                started.set()
-                release.wait(30)
-            return form_image(payload)
-
-        monkeypatch.setattr(service_module.workers, "form_image", blocking)
-
+    def test_hit_is_answered_while_the_only_worker_is_busy(self, held):
         async def scenario(service):
             first, _ = await one_shot(service, {**IMG, "id": "cold"})
-            busy = asyncio.create_task(
-                one_shot(service, {**IMG, "id": "busy", "noise_seed": 7})
-            )
+            busy = asyncio.create_task(one_shot(service, {**HELD, "id": "busy"}))
             try:
-                assert await asyncio.to_thread(started.wait, 30)
+                assert await asyncio.to_thread(held.started.wait, 30)
                 batches = service.stats.batches
                 hit, _ = await asyncio.wait_for(
                     one_shot(service, {**IMG, "id": "hit"}), timeout=10
                 )
-                while_busy = not release.is_set()
+                while_busy = not held.release.is_set()
                 hit_batches = service.stats.batches
             finally:
-                release.set()
+                held.release.set()
                 miss, _ = await busy
             return first, hit, miss, while_busy, batches, hit_batches
 
@@ -218,7 +276,7 @@ class TestHitPath:
         assert health["cache"]["hits"] == n - 1
         assert health["cache"]["misses"] == 1
         assert health["cache"]["stores"] == 1
-        assert health["batches"] == 1  # only the miss formed a group
+        assert health["batches"] == 1  # only the miss ran a pool job
 
 
 class TestStreaming:
@@ -300,21 +358,20 @@ class TestStreaming:
         partial whose strings hold newlines reaches its job's waiter
         whole, and the end marker sets the job's event."""
         from repro.serve import workers
-        from repro.serve.protocol import parse_request
 
         frame = {"level": 0, "note": "two\nlines"}
 
         async def scenario():
             channel = service_module._Channel(multiprocessing.get_context())
             monkeypatch.setattr(workers, "_channel", (channel.writer, channel.lock))
-            request = parse_request({**IMG, "id": "c", "stream": True})
-            pending = service_module._Pending(request, partials=asyncio.Queue())
-            token, ended = channel.open_job([pending])
+            job = service_module._Job(stream=False)
+            queue = job.join(False)
+            token, ended = channel.open_job(job)
             workers._post(token, frame)
             workers._post(token, None)
             await asyncio.wait_for(ended.wait(), 5)
             channel.retire()
-            return pending.partials.get_nowait()
+            return queue.get_nowait()
 
         assert asyncio.run(scenario()) == frame
 
@@ -346,7 +403,7 @@ class TestStreaming:
                 first = await asyncio.wait_for(read_frame(reader), timeout=10)
                 held_then = reached.is_set() and not release.is_set()
                 release.set()
-                terminal = await read_until_terminal(reader)
+                terminal = await read_terminal(reader)
             finally:
                 release.set()
                 writer.close()
@@ -433,23 +490,37 @@ class TestStreaming:
         assert (health["cache"]["hits"], health["cache"]["stores"]) == (1, 1)
         assert health["streams"] == 2
 
-    def test_identical_streams_in_one_window_coalesce(self):
-        """Two identical streamed requests in one window share one
-        compute, and each gets every merge level -- the stage bytes only
-        where asked for."""
-
+    def test_identical_streams_in_one_window_coalesce(self, held):
+        """A lean stream that arrives while a ``stream_data`` stream of
+        the same payload holds its worker after two merge levels joins
+        that job: it gets the levels already routed first, so it still
+        sees every level, and no stage bytes."""
         async def scenario(service):
-            frames = await asyncio.gather(
-                one_shot(service, {**IMG, "id": "a", "stream": True,
-                                   "stream_data": True}),
-                one_shot(service, {**IMG, "id": "b", "stream": True}),
-            )
-            return frames, service.stats.coalesced, service.stats.batches
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            try:
+                writer.write(encode_frame(
+                    {**HELD, "id": "a", "stream": True, "stream_data": True}
+                ))
+                await writer.drain()
+                a_partials = [await asyncio.wait_for(read_frame(reader), 30)
+                              for _ in range(2)]
+                late = asyncio.create_task(
+                    one_shot(service, {**HELD, "id": "b", "stream": True})
+                )
+                joined = await until(lambda: service.stats.coalesced == 1)
+                held.release.set()
+                a = await read_terminal(reader, a_partials)
+            finally:
+                held.release.set()
+                writer.close()
+                await writer.wait_closed()
+            b, b_partials = await late
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return joined, a, a_partials, b, b_partials, health
 
-        ((a, a_partials), (b, b_partials)), coalesced, batches = service_test(
-            scenario, batch_window_ms=1000.0
-        )
-        assert (coalesced, batches) == (1, 1)
+        joined, a, a_partials, b, b_partials, health = service_test(scenario)
+        assert joined
+        assert (health["coalesced"], health["batches"]) == (1, 1)
         n_levels = a_partials[0]["n_levels"]
         for partials, rid in ((a_partials, "a"), (b_partials, "b")):
             assert [p["level"] for p in partials] == list(range(n_levels + 1))
@@ -457,7 +528,45 @@ class TestStreaming:
         assert all("stage" in p for p in a_partials)
         assert not any("stage" in p for p in b_partials)
         assert [p["sha256"] for p in a_partials] == [p["sha256"] for p in b_partials]
+        assert a["cached"] is b["cached"] is False
         assert a["image"]["data_b64"] == b["image"]["data_b64"]
+
+    def test_stream_data_miss_submits_its_own_job_beside_a_lean_one(self, held):
+        """A ``stream_data`` stream cannot join a lean job: it submits
+        its own, which then serves a later unstreamed miss; the lean job
+        still answers its own stream."""
+
+        async def scenario(service):
+            lean = asyncio.create_task(
+                one_shot(service, {**HELD, "id": "lean", "stream": True})
+            )
+            try:
+                assert await asyncio.to_thread(held.started.wait, 30)
+                data = asyncio.create_task(one_shot(
+                    service,
+                    {**HELD, "id": "data", "stream": True, "stream_data": True},
+                ))
+                submitted = await until(lambda: service.stats.batches == 2)
+                plain = asyncio.create_task(one_shot(service, {**HELD, "id": "plain"}))
+                joined = await until(lambda: service.stats.coalesced == 1)
+            finally:
+                held.release.set()
+            frames = await asyncio.gather(lean, data, plain)
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return submitted, joined, frames, health
+
+        submitted, joined, frames, health = service_test(scenario)
+        (lean, lean_partials), (data, data_partials), (plain, plain_partials) = frames
+        assert submitted and joined
+        assert (health["coalesced"], health["batches"]) == (1, 2)
+        n_levels = lean_partials[0]["n_levels"]
+        for partials in (lean_partials, data_partials):
+            assert [p["level"] for p in partials] == list(range(n_levels + 1))
+        assert not any("stage" in p for p in lean_partials)
+        assert all("stage" in p for p in data_partials)
+        assert plain_partials == []
+        assert lean["image"]["data_b64"] == data["image"]["data_b64"]
+        assert plain["image"]["data_b64"] == data["image"]["data_b64"]
 
     def test_streamed_shards_answer_the_batched_bytes(self):
         """A streamed request with shards walks the serial merge tree; it
@@ -538,7 +647,7 @@ class TestContainment:
     def test_oversized_result_is_a_structured_error(self):
         """An image whose result cannot fit in one frame answers
         ``oversized`` naming the limit before any compute -- no cache
-        lookup, no batch -- counts as an error, and leaves the
+        lookup, no pool job -- counts as an error, and leaves the
         connection usable."""
 
         async def scenario(service):
@@ -804,29 +913,33 @@ class TestServedBytes:
 
 
 class TestDeadlines:
-    def test_deadline_yields_structured_timeout(self):
+    def test_deadline_yields_structured_timeout(self, held):
         async def scenario(service):
-            frame, _ = await one_shot(
-                service, {**IMG, "id": "slow", "deadline_ms": 1}
-            )
+            try:
+                # The held worker guarantees a 1 ms deadline fires first.
+                frame, _ = await one_shot(
+                    service, {**HELD, "id": "slow", "deadline_ms": 1}
+                )
+            finally:
+                held.release.set()
             health, _ = await one_shot(service, {"kind": "health", "id": "h"})
             return frame, health
 
-        # A 200 ms batch window guarantees a 1 ms deadline fires first.
-        frame, health = service_test(scenario, batch_window_ms=200.0)
+        frame, health = service_test(scenario)
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
         assert frame["id"] == "slow"
         assert health["deadline_misses"] >= 1
 
-    def test_default_deadline_from_settings(self):
+    def test_default_deadline_from_settings(self, held):
         async def scenario(service):
-            frame, _ = await one_shot(service, {**IMG, "id": "d"})
+            try:
+                frame, _ = await one_shot(service, {**HELD, "id": "d"})
+            finally:
+                held.release.set()
             return frame
 
-        frame = service_test(
-            scenario, batch_window_ms=200.0, default_deadline_ms=1.0
-        )
+        frame = service_test(scenario, default_deadline_ms=1.0)
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
 
@@ -841,11 +954,11 @@ class TestOneDeadlineRule:
 
     def test_batched_done_job_past_deadline_is_a_miss(self):
         async def scenario(service):
-            async def enqueue_done(pending):
+            async def execute_done(job, payload):
                 time.sleep(OVERRUN_S)
-                pending.future.set_result(("ok", {"image": None}, False))
+                return ("ok", {"image": None}, False)
 
-            service._enqueue = enqueue_done
+            service._execute = execute_done
             frame, _ = await one_shot(
                 service, {**IMG, "id": "late", "deadline_ms": 1}
             )
@@ -860,12 +973,11 @@ class TestOneDeadlineRule:
 
     def test_streaming_done_job_past_deadline_is_a_miss(self):
         async def scenario(service):
-            async def enqueue_done(pending):
+            async def execute_done(job, payload):
                 time.sleep(OVERRUN_S)
-                pending.partials.put_nowait(None)  # the stream's end
-                pending.future.set_result(("ok", {"image": None}, False))
+                return ("ok", {"image": None}, False)
 
-            service._enqueue = enqueue_done
+            service._execute = execute_done
             frame, _ = await one_shot(
                 service, {**IMG, "id": "late", "stream": True, "deadline_ms": 1}
             )
@@ -876,7 +988,7 @@ class TestOneDeadlineRule:
         assert frame["type"] == "error"
         assert frame["code"] == "deadline"
         assert "stream exceeded its 1" in frame["detail"]
-        assert frame["retries"] == 0  # the batched decision path answered
+        assert frame["retries"] == 0  # the one decision path answered
         assert health["deadline_misses"] == 1
 
 
@@ -1015,13 +1127,28 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             ServeSettings(workers=0)
         with pytest.raises(ValueError):
-            ServeSettings(batch_window_ms=-1)
-        with pytest.raises(ValueError):
             ServeSettings(max_frame_bytes=16)
         with pytest.raises(ValueError):
             ServeSettings(max_inflight=0)
         with pytest.raises(ValueError):
             ServeSettings(max_retries=-1)
+
+    @pytest.mark.parametrize(
+        "field", ["default_deadline_ms", "retry_backoff_ms"]
+    )
+    @pytest.mark.parametrize(
+        "value", [0.0, -5.0, float("nan"), float("inf")]
+    )
+    def test_settings_refuse_a_nonpositive_or_nonfinite_time(self, field, value):
+        """The protocol refuses a non-positive per-request deadline; the
+        server-wide default and the retry backoff follow the same rule,
+        and refuse non-finite values too."""
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            ServeSettings(**{field: value})
+
+    def test_settings_accept_a_positive_deadline_or_none(self):
+        assert ServeSettings(default_deadline_ms=None).default_deadline_ms is None
+        assert ServeSettings(default_deadline_ms=0.5).default_deadline_ms == 0.5
 
 
 STALL_SPEC = "faulty(link:(0,0)->(0,1)@p=1:stall=500000):event:e16"
@@ -1034,19 +1161,20 @@ STALL_PROFILE = {
 
 
 class TestResilience:
-    def test_budget_exhaustion_is_structured_overloaded(self):
+    def test_budget_exhaustion_is_structured_overloaded(self, held):
         async def scenario(service):
             r1, w1 = await asyncio.open_connection("127.0.0.1", service.port)
             r2, w2 = await asyncio.open_connection("127.0.0.1", service.port)
             try:
-                # First request parks in the long batch window holding
-                # the only admission slot ...
-                w1.write(encode_frame({**IMG, "id": "slow"}))
+                # First request holds its worker and the only admission
+                # slot ...
+                w1.write(encode_frame({**HELD, "id": "slow"}))
                 await w1.drain()
-                await asyncio.sleep(0.05)
+                assert await asyncio.to_thread(held.started.wait, 30)
                 # ... so the second is rejected immediately.
                 rejected, _ = await send_recv(r2, w2, {**IMG, "id": "rej"})
-                admitted = await read_until_terminal(r1)
+                held.release.set()
+                admitted = await read_terminal(r1)
                 health, _ = await one_shot(service, {"kind": "health", "id": "h"})
                 return rejected, admitted, health
             finally:
@@ -1054,9 +1182,7 @@ class TestResilience:
                     w.close()
                     await w.wait_closed()
 
-        rejected, admitted, health = service_test(
-            scenario, max_inflight=1, batch_window_ms=300.0
-        )
+        rejected, admitted, health = service_test(scenario, max_inflight=1)
         assert rejected["type"] == "error"
         assert rejected["code"] == "overloaded"
         assert rejected["retry_after_ms"] > 0
@@ -1064,49 +1190,23 @@ class TestResilience:
         assert health["resilience"]["overloaded"] == 1
         assert health["resilience"]["admission"]["rejected"] == 1
 
-    def test_per_connection_cap_rejects_pipelined_excess(self):
+    def test_per_connection_cap_rejects_pipelined_excess(self, held):
         async def scenario(service):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.port
-            )
-            try:
-                for rid in ("p0", "p1"):
-                    writer.write(encode_frame({**IMG, "id": rid}))
-                await writer.drain()
-                frames = [await read_until_terminal(reader) for _ in range(2)]
-                return {f["id"]: f for f in frames}
-            finally:
-                writer.close()
-                await writer.wait_closed()
+            return await pipeline_past_the_cap(service, held)
 
-        by_id = service_test(
-            scenario, max_connection_inflight=1, batch_window_ms=300.0
-        )
+        by_id = service_test(scenario, max_connection_inflight=1)
         assert by_id["p0"]["type"] == "result"
         assert by_id["p1"]["code"] == "overloaded"
 
-    def test_cap_rejection_hint_routes_through_admission(self):
+    def test_cap_rejection_hint_routes_through_admission(self, held):
         # Regression: the connection-cap (and drain) rejections must
         # carry the controller's pressure-scaled retry_hint(), not a
         # static constant snapshotted at boot.
         async def scenario(service):
             service._admission.retry_hint = lambda: 777.25
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", service.port
-            )
-            try:
-                for rid in ("p0", "p1"):
-                    writer.write(encode_frame({**IMG, "id": rid}))
-                await writer.drain()
-                frames = [await read_until_terminal(reader) for _ in range(2)]
-                return {f["id"]: f for f in frames}
-            finally:
-                writer.close()
-                await writer.wait_closed()
+            return await pipeline_past_the_cap(service, held)
 
-        by_id = service_test(
-            scenario, max_connection_inflight=1, batch_window_ms=300.0
-        )
+        by_id = service_test(scenario, max_connection_inflight=1)
         assert by_id["p1"]["code"] == "overloaded"
         assert by_id["p1"]["retry_after_ms"] == 777.25
 
@@ -1183,13 +1283,12 @@ class TestResilience:
         assert frame["retries"] == 1
 
     def test_killed_request_heals_and_its_batch_sibling_completes(
-        self, tmp_path
+        self, tmp_path, held
     ):
-        """Two distinct profile requests share one batch group on a
-        process pool; one SIGKILLs its worker.  Both must still get a
-        result: the killed one through the serve-level retry, the
-        sibling either before the pool broke or through that same
-        retry."""
+        """A profile request SIGKILLs its worker while a distinct image
+        request holds the other one.  Both must still get a result: the
+        killed one through the serve-level retry, the sibling either
+        before the pool broke or through that same retry."""
 
         async def scenario(service):
             killed = {
@@ -1201,24 +1300,20 @@ class TestResilience:
                 "fail_marker": str(tmp_path / "m"),
                 "fail_times": 1,
             }
-            sibling = {
-                "kind": "profile",
-                "id": "s",
-                "backend": "analytic:e16",
-                "pulses": 32,
-                "ranges": 33,
-            }
-            frames = await asyncio.gather(
-                one_shot(service, killed), one_shot(service, sibling)
-            )
-            return [frame for frame, _ in frames]
+            sibling = asyncio.create_task(one_shot(service, {**HELD, "id": "s"}))
+            try:
+                assert await asyncio.to_thread(held.started.wait, 30)
+                killed, _ = await one_shot(service, killed)
+            finally:
+                held.release.set()
+            sibling, _ = await sibling
+            return killed, sibling
 
         killed, sibling = service_test(
             scenario,
             allow_chaos=True,
             max_retries=1,
             retry_backoff_ms=2.0,
-            batch_window_ms=200.0,
         )
         assert killed["type"] == "result"
         assert killed["retries"] == 1
@@ -1227,10 +1322,10 @@ class TestResilience:
 
     def test_group_exception_is_internal_with_retries(self, monkeypatch):
         """An exception escaping the pool submission still yields a
-        batched terminal frame carrying ``retries``."""
+        structured terminal frame carrying ``retries``."""
 
-        async def explode(self, payload):
-            raise RuntimeError("group executor exploded")
+        async def explode(self, job, payload):
+            raise RuntimeError("job executor exploded")
 
         monkeypatch.setattr(ImageService, "_execute", explode)
 
@@ -1247,8 +1342,8 @@ class TestResilience:
     def test_one_break_under_two_groups_rebuilds_the_pool_once(
         self, tmp_path, monkeypatch
     ):
-        """An image group is in flight on the pool when a later profile
-        group SIGKILLs its worker.  The break fails both, the pool is
+        """An image job is in flight on the pool when a later profile
+        job SIGKILLs its worker.  The break fails both, the pool is
         rebuilt once, and both requests heal through the serve-level
         retry."""
         image_started = multiprocessing.Event()
@@ -1294,7 +1389,7 @@ class TestResilience:
         assert killed["retries"] == 1
         assert image["type"] == "result", image
         assert image["retries"] == 1
-        assert health["batches"] >= 3  # two groups, then their retries
+        assert health["batches"] >= 3  # two jobs, then their retries
         assert health["resilience"]["pool_rebuilds"] == 1
         assert health["resilience"]["retries"] == 2
 
@@ -1385,9 +1480,19 @@ class TestResilience:
         assert "None" not in frame["detail"]
 
 
-async def read_until_terminal(reader):
-    while True:
-        frame = await read_frame(reader, 1 << 20)
-        assert frame is not None, "server closed mid-request"
-        if frame.get("type") != "partial":
-            return frame
+async def pipeline_past_the_cap(service, held):
+    """Pipeline a held request and one more on one connection; return
+    the terminal frames by id."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+    try:
+        writer.write(encode_frame({**HELD, "id": "p0"}))
+        writer.write(encode_frame({**IMG, "id": "p1"}))
+        await writer.drain()
+        rejected = await read_terminal(reader)
+        held.release.set()
+        frames = [rejected, await read_terminal(reader)]
+        return {f["id"]: f for f in frames}
+    finally:
+        held.release.set()
+        writer.close()
+        await writer.wait_closed()

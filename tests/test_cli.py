@@ -323,3 +323,26 @@ class TestServeCli:
         rc = main(["load", "--spawn", "--clients", "0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_serve_refuses_a_nonpositive_default_deadline(
+        self, capsys, monkeypatch, value
+    ):
+        """Refused before any server starts: exit 2, one error line."""
+        from repro.serve import service
+
+        def started(*args, **kwargs):
+            raise AssertionError("a server was constructed")
+
+        monkeypatch.setattr(service.ImageService, "__init__", started)
+        rc = main(["serve", "--deadline-ms", value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: default_deadline_ms must be positive")
+        assert err.count("\n") == 1
+
+    def test_serve_refuses_the_deleted_window_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--batch-window-ms", "5"])
+        assert exc.value.code == 2
+        assert "--batch-window-ms" in capsys.readouterr().err
