@@ -105,22 +105,37 @@ def _check_image(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
         parser.error(getattr(exc, "detail", str(exc)))
 
 
-def _backend_with_default_spec(token: str, spec: str) -> str:
-    """Give a bare backend token (``analytic``) a default chip spec.
+def _counts(text: str) -> tuple[int, ...]:
+    """argparse type for ``--cores``/``--chips``: comma-separated ints."""
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
-    Sweep series that need a particular chip (the unit-scaling series
-    wants an E64) still honour an explicit spec in the token.
-    """
-    from repro.machine.backends import available_backends
 
-    token = (token or "").strip()
-    if not token:
-        return ":" + spec
-    if ":" in token:
-        return token
-    if token.lower() in available_backends():
-        return f"{token}:{spec}"
-    return token
+def _check_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Admit only the counts a sweep can run: ``--cores`` within the
+    backend's chip, ``--chips`` by the ``repro image --shards`` rule."""
+    from repro.machine.backends import parse_backend, resolve_backend
+    from repro.sar.shard import check_ffbp
+
+    if args.series == "ffbp-cores":
+        backend = parse_backend(args.backend)
+        n_cores = resolve_backend(backend)[1].n_cores
+        for c in args.cores:
+            if not 1 <= c <= n_cores:
+                parser.error(
+                    f"--cores: {c} is outside 1..{n_cores}, the cores of "
+                    f"{backend}"
+                )
+    elif args.series == "ffbp-chips":
+        for c in args.chips:
+            try:
+                check_ffbp(_config(args), c)
+            except ValueError as exc:
+                parser.error(f"--chips: {exc}")
 
 
 def _config(args: argparse.Namespace):
@@ -246,14 +261,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.eval import sweeps
     from repro.kernels.ffbp_common import plan_ffbp
+    from repro.machine.backends import parse_backend
 
     backend = args.backend
     jobs = getattr(args, "jobs", 1)
     if args.series == "ffbp-cores":
-        cores = tuple(int(c) for c in args.cores.split(","))
         series = sweeps.ffbp_core_sweep(
             plan=plan_ffbp(_config(args)),
-            cores=cores,
+            cores=args.cores,
             backend=backend,
             jobs=jobs,
         )
@@ -263,16 +278,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     elif args.series == "af-units":
         series = sweeps.autofocus_unit_sweep(
-            backend=_backend_with_default_spec(backend, "e64"), jobs=jobs
+            backend=str(parse_backend(backend, default_spec="e64")), jobs=jobs
         )
     elif args.series == "clock":
         series = sweeps.clock_sweep(
             plan=plan_ffbp(_config(args)), backend=backend, jobs=jobs
         )
     elif args.series == "ffbp-chips":
-        chips = tuple(int(c) for c in args.chips.split(","))
         series = sweeps.ffbp_chip_sweep(
-            cfg=_config(args), chips=chips, backend=backend, jobs=jobs
+            cfg=_config(args), chips=args.chips, backend=backend, jobs=jobs
         )
     else:  # candidates
         series = sweeps.candidate_sweep(backend=backend, jobs=jobs)
@@ -524,16 +538,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cores",
+        type=_counts,
         default="1,2,4,8,16",
-        help="comma-separated core counts (ffbp-cores series)",
+        help="comma-separated core counts, each within the backend's "
+        "chip (ffbp-cores series)",
     )
     p.add_argument(
         "--chips",
+        type=_counts,
         default="1,2,4",
-        help="comma-separated fabric chip counts (ffbp-chips series)",
+        help="comma-separated fabric chip counts, each >= 1 and a power "
+        "of the merge base (ffbp-chips series)",
     )
     p.add_argument("--chart-width", type=int, default=48)
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, validate=partial(_check_sweep, p))
 
     p = sub.add_parser(
         "verify",
@@ -695,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="serve-level retries of a request whose group fails with "
-        "a contained fault or broken pool (default: %(default)s)",
+        help="serve-level retries of a request whose job fails with "
+        "a broken pool (default: %(default)s)",
     )
     p.add_argument(
         "--retry-backoff-ms",
@@ -841,9 +859,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     validate = getattr(args, "validate", None)
-    if validate is not None:
-        validate(args)
     try:
+        if validate is not None:
+            validate(args)
         return args.fn(args)
     except TaskFailure as exc:
         print(exc.format(), file=sys.stderr)

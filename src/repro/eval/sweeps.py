@@ -19,7 +19,7 @@ at any ``jobs`` level (``jobs=1``, the default, runs inline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.exec import ExperimentRunner, TaskSpec
@@ -27,7 +27,7 @@ from repro.kernels.autofocus_mpmd import run_autofocus_mpmd, run_autofocus_scale
 from repro.kernels.ffbp_common import FfbpPlan, plan_ffbp
 from repro.kernels.ffbp_spmd import run_ffbp_spmd
 from repro.kernels.opcounts import AutofocusWorkload
-from repro.machine.backends import resolve_backend
+from repro.machine.backends import get_machine, parse_backend, resolve_backend
 from repro.machine.specs import EpiphanySpec
 from repro.sar.config import RadarConfig
 
@@ -118,10 +118,10 @@ def _ffbp_chips_point(
     backend: str, cfg: RadarConfig, n_chips: int, n_cores: int
 ) -> int:
     from repro.kernels.ffbp_fabric import run_ffbp_fabric
-    from repro.machine.backends import get_machine
 
     plan = plan_ffbp(cfg)
-    machine = get_machine(f"{backend}:{n_chips}x(e16)")
+    fabric = replace(parse_backend(backend), spec=f"{n_chips}x(e16)")
+    machine = get_machine(str(fabric))
     return run_ffbp_fabric(machine, plan, n_cores).cycles
 
 
@@ -246,10 +246,11 @@ def ffbp_chip_sweep(
     (:func:`~repro.kernels.ffbp_fabric.run_ffbp_fabric`) on
     ``<n>x(e16)``; the 1-chip point is the zero-overhead fabric
     wrapper, so the series measures exactly what scale-out buys.
-    ``backend`` must be a bare backend name (``analytic``/``event``) --
-    the sweep composes the fabric spec itself.
+    ``backend`` must name no chip spec (``analytic``,
+    ``faulty(<plan>):event``) -- the sweep composes the fabric spec
+    itself.
     """
-    if ":" in backend:
+    if parse_backend(backend, default_spec="").spec:
         raise ValueError(
             f"ffbp-chips sweeps a fabric spec per point; pass a bare "
             f"backend name, not {backend!r}"

@@ -168,8 +168,7 @@ CONTAINED_FAILURES = (FaultReport, StallError, DeadlockReport)
 CONTAINED_CODES = ("fault", "stall", "deadlock")
 """The leading ``describe()`` tags of :data:`CONTAINED_FAILURES`.
 
-The serving tier uses these as wire-level error codes and as the
-retryable class for its backoff policy: a contained failure is a
-*diagnosed* outcome, so retrying it is safe (idempotent work, seeded
-draws), unlike an unstructured crash.
+The serving tier uses these as wire-level error codes.  A contained
+failure is a *diagnosed* outcome of deterministic work, so the serving
+tier answers it at once: a retry would return the same diagnosis.
 """

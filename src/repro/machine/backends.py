@@ -53,6 +53,9 @@ key are cached.  A ``faulty(...)`` wrapper outside hands the replay
 machine undeclared closures, so chaos semantics never come from a
 cache.
 
+:func:`parse_backend` is the one reader of this grammar; the
+``str()`` of its value is the canonical spelling.
+
 New backends register with :func:`register_backend`; the CLI and the
 eval drivers (`--backend`) pass user strings straight to
 :func:`get_machine`, so a registered backend is immediately usable
@@ -62,14 +65,17 @@ everywhere.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.machine.api import Machine
 from repro.machine.specs import EpiphanySpec, FabricSpec
 
 __all__ = [
+    "BackendSpec",
     "get_machine",
     "get_spec",
+    "parse_backend",
     "resolve_backend",
     "register_backend",
     "available_backends",
@@ -116,6 +122,27 @@ def available_backends() -> tuple[str, ...]:
 
 
 _FABRIC_OPEN_RE = re.compile(r"^(?P<chips>\d+)x\(")
+_WRAPPER_FORMS = {
+    "faulty": "faulty(<plan>)[:<backend>[:<spec>]]",
+    "replay": "replay(<backend>[:<spec>])",
+}
+
+
+def _match_paren(token: str, open_at: int) -> int:
+    """Index of the ``)`` closing the ``(`` at ``open_at``, or -1.
+
+    Fault plans (link coordinates) and fabric specs nest parentheses,
+    so the match counts depth rather than taking the first ``)``.
+    """
+    depth = 0
+    for i in range(open_at, len(token)):
+        if token[i] == "(":
+            depth += 1
+        elif token[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
 
 
 def _try_fabric(token: str) -> FabricSpec | None:
@@ -130,17 +157,7 @@ def _try_fabric(token: str) -> FabricSpec | None:
     m = _FABRIC_OPEN_RE.match(token)
     if m is None:
         return None
-    depth = 0
-    close = -1
-    for i in range(m.end() - 1, len(token)):
-        ch = token[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                close = i
-                break
+    close = _match_paren(token, m.end() - 1)
     if close < 0:
         raise ValueError(
             f"unbalanced parentheses in fabric spec {token!r}; expected "
@@ -161,11 +178,6 @@ def _try_fabric(token: str) -> FabricSpec | None:
         )
     rest = token[close + 1 :]
     chip = get_spec(inner)
-    if isinstance(chip, FabricSpec):  # defensive: inner named a fabric
-        raise ValueError(
-            f"nested fabric in spec {token!r}; fabrics hold chips, "
-            f"not fabrics"
-        )
     if rest:
         if not rest.startswith("@"):
             raise ValueError(
@@ -218,133 +230,116 @@ def _parse_clock(text: str, token: str) -> float:
     return clock
 
 
-def _split_faulty(token: str) -> tuple[str, str]:
-    """Split ``faulty(<plan>)[:inner]`` into (plan text, inner spec).
+@dataclass(frozen=True)
+class BackendSpec:
+    """A parsed backend string.  ``wrappers`` are the ``faulty(<plan>)``
+    and ``replay`` wrappers, outermost first; ``str()`` is the
+    canonical spelling (``e16``, ``:e16`` and ``EVENT:E16`` all read
+    ``event:e16``), which parses back to the same value."""
 
-    The plan text itself contains parentheses (link coordinates), so
-    the closing paren is matched by depth, not by first occurrence.
+    engine: str
+    spec: str
+    wrappers: tuple[str, ...] = ()
+
+    def __str__(self) -> str:
+        text = f"{self.engine}:{self.spec}" if self.spec else self.engine
+        for wrapper in reversed(self.wrappers):
+            text = f"replay({text})" if wrapper == "replay" else f"{wrapper}:{text}"
+        return text
+
+
+def parse_backend(text: str = "", default_spec: str = DEFAULT_SPEC) -> BackendSpec:
+    """Parse ``[faulty(<plan>):|replay(...)]...[backend][:spec]``.
+
+    Peels the wrappers, then reads ``<engine>[:<spec>]``, filling in
+    ``event`` and ``default_spec`` (an empty one leaves an omitted spec
+    out); ``replay[:<spec>]`` reads as ``replay(event[:<spec>])``.
+    Plans and specs are checked by :func:`resolve_backend`, except a
+    bare token that names no backend: it must be a spec.
     """
-    depth = 0
-    for i, ch in enumerate(token):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                plan_text = token[len("faulty(") : i]
-                rest = token[i + 1 :]
-                if rest.startswith(":"):
-                    rest = rest[1:]
-                return plan_text, rest
-    raise ValueError(
-        f"unbalanced parentheses in faulty spec {token!r}; expected "
-        f"'faulty(<plan>)[:<backend>[:<spec>]]'"
+    token = (text or "").strip().lower()
+    wrappers: list[str] = []
+    while token.startswith(("faulty(", "replay(")):
+        kind = token[: token.index("(")]
+        close = _match_paren(token, len(kind))
+        if close < 0:
+            raise ValueError(
+                f"unbalanced parentheses in {kind} spec {token!r}; "
+                f"expected {_WRAPPER_FORMS[kind]!r}"
+            )
+        rest = token[close + 1 :]
+        if kind == "faulty":
+            wrappers.append(token[: close + 1])
+            token = rest[1:] if rest.startswith(":") else rest
+        elif rest:
+            raise ValueError(
+                f"trailing {rest!r} after replay spec {token!r}; "
+                f"expected {_WRAPPER_FORMS[kind]!r}"
+            )
+        else:
+            wrappers.append("replay")
+            token = token[len("replay(") : close]
+        token = token.strip()
+    engine, colon, spec = token.partition(":")
+    if token and not colon and token not in _REGISTRY:
+        # A bare token that names no backend *might* be a spec -- or a
+        # misspelled backend ("analytc"): if it is neither, name both.
+        engine, spec = "", token
+        try:
+            get_spec(token)
+        except ValueError:
+            # A bare token that *looks* like a fabric ('<n>x(...') is a
+            # spec mistake: keep the specific parse error.
+            if _FABRIC_OPEN_RE.match(token):
+                raise
+            raise ValueError(
+                f"unknown backend or machine spec {token!r}; "
+                f"backends: {', '.join(available_backends())}; "
+                f"specs: {', '.join(sorted(_NAMED_SPECS))}, "
+                f"'<name>@<clock_hz>' or '<rows>x<cols>[@<clock_hz>]'"
+            ) from None
+    if engine == "replay":
+        wrappers.append("replay")
+        engine = ""
+    return BackendSpec(
+        engine or DEFAULT_BACKEND, spec or default_spec, tuple(wrappers)
     )
 
 
-def _split_replay(token: str) -> str:
-    """Split ``replay(<inner-spec>)`` into the inner spec string.
+def _wrap(wrapper: str, inner: BackendFactory) -> BackendFactory:
+    """``inner`` behind one ``replay`` or ``faulty(<plan>)`` wrapper;
+    the plan is validated here, eagerly."""
+    if wrapper == "replay":
+        from repro.replay.machine import ReplayMachine
 
-    The inner spec may itself contain parentheses (a fabric, a
-    ``faulty(...)`` wrapper), so the closing paren is matched by
-    depth.  Nothing may trail the wrapper.
-    """
-    depth = 0
-    for i, ch in enumerate(token):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                rest = token[i + 1 :]
-                if rest:
-                    raise ValueError(
-                        f"trailing {rest!r} after replay spec {token!r}; "
-                        f"expected 'replay(<backend>[:<spec>])'"
-                    )
-                return token[len("replay(") : i]
-    raise ValueError(
-        f"unbalanced parentheses in replay spec {token!r}; expected "
-        f"'replay(<backend>[:<spec>])'"
-    )
+        return lambda s: ReplayMachine(inner(s))
+    from repro.faults.inject import FaultyMachine
+    from repro.faults.plan import parse_plan
+
+    plan = parse_plan(wrapper[len("faulty(") : -1])
+    return lambda s: FaultyMachine(inner(s), plan)
 
 
-def resolve_backend(name: str = "") -> tuple[BackendFactory, EpiphanySpec]:
-    """Split a ``[backend][:spec]`` string into (factory, base spec).
+def resolve_backend(
+    name: str | BackendSpec = "",
+) -> tuple[BackendFactory, EpiphanySpec]:
+    """Parse a backend string (or take a parsed one) into (factory,
+    base spec); the factory wraps the engine's once per wrapper.
 
     Callers that derive their own spec variants (clock sweeps, mesh
     scaling) use the returned factory with a modified copy of the base
     spec; :func:`get_machine` is the plain compose-and-build shortcut.
-
-    ``faulty(<plan>):<inner>`` composes: the inner backend string is
-    resolved recursively and its factory wrapped so every machine it
-    builds is a :class:`~repro.faults.inject.FaultyMachine` carrying
-    the (eagerly validated) plan.
     """
-    token = (name or "").strip().lower()
-    if token.startswith("faulty("):
-        from repro.faults.inject import FaultyMachine
-        from repro.faults.plan import parse_plan
-
-        plan_text, inner = _split_faulty(token)
-        plan = parse_plan(plan_text)  # validate eagerly: bad plan -> ValueError
-        inner_factory, spec = resolve_backend(inner)
-
-        def _faulty(s: EpiphanySpec, _f: BackendFactory = inner_factory) -> Machine:
-            return FaultyMachine(_f(s), plan)
-
-        return _faulty, spec
-    if token.startswith("replay("):
-        from repro.replay.machine import ReplayMachine
-
-        inner = _split_replay(token)
-        inner_factory, spec = resolve_backend(inner)
-
-        def _replay_wrap(
-            s: EpiphanySpec, _f: BackendFactory = inner_factory
-        ) -> Machine:
-            return ReplayMachine(_f(s))
-
-        return _replay_wrap, spec
-    bare = False
-    if ":" in token:
-        backend_name, _, spec_token = token.partition(":")
-        backend_name = backend_name or DEFAULT_BACKEND
-        spec_token = spec_token or DEFAULT_SPEC
-    elif not token:
-        backend_name, spec_token = DEFAULT_BACKEND, DEFAULT_SPEC
-    elif token in _REGISTRY:
-        backend_name, spec_token = token, DEFAULT_SPEC
-    else:
-        # A bare token that names no backend *might* be a spec -- or a
-        # misspelled backend.  Remember the ambiguity so a parse
-        # failure below can name both interpretations.
-        backend_name, spec_token = DEFAULT_BACKEND, token
-        bare = True
-    factory = _REGISTRY.get(backend_name)
+    parsed = name if isinstance(name, BackendSpec) else parse_backend(name)
+    factory = _REGISTRY.get(parsed.engine)
     if factory is None:
         raise ValueError(
-            f"unknown backend {backend_name!r}; "
+            f"unknown backend {parsed.engine!r}; "
             f"available: {', '.join(available_backends())}"
         )
-    try:
-        spec = get_spec(spec_token)
-    except ValueError:
-        # A bare token that *looks* like a fabric ('<n>x(...') is a
-        # spec mistake, not a misspelled backend: keep the specific
-        # parse error (unbalanced parens, zero chips, trailing junk).
-        if not bare or _FABRIC_OPEN_RE.match(spec_token):
-            raise
-        # e.g. "analytc": neither a registered backend nor a parsable
-        # spec.  A spec-only error here would send a user who merely
-        # misspelled a backend name down the wrong path, so name both.
-        raise ValueError(
-            f"unknown backend or machine spec {token!r}; "
-            f"backends: {', '.join(available_backends())}; "
-            f"specs: {', '.join(sorted(_NAMED_SPECS))}, "
-            f"'<name>@<clock_hz>' or '<rows>x<cols>[@<clock_hz>]'"
-        ) from None
-    return factory, spec
+    for wrapper in reversed(parsed.wrappers):
+        factory = _wrap(wrapper, factory)
+    return factory, get_spec(parsed.spec)
 
 
 def get_machine(name: str = "") -> Machine:

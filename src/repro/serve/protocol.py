@@ -33,7 +33,10 @@ Request vocabulary (``kind`` field):
   level 0,
 - ``profile``  run a kernel timing model on a registry backend spec
   and return cycles/energy (watchdog-guarded; a stall comes back as a
-  structured error with its blame report),
+  structured error with its blame report, never retried: the kernels
+  are deterministic).  The result echoes the spec's canonical
+  spelling (:func:`repro.machine.backends.parse_backend`) as
+  ``backend``, so ``e16`` and ``event:e16`` are one request,
 - ``health``   server status: uptime, counters, response-cache
   stats, contained-fault history,
 - ``shutdown`` ask the server to drain and exit cleanly.
@@ -50,7 +53,8 @@ only keys they ignore):
   draining for shutdown); the response carries a ``retry_after_ms``
   hint,
 - ``retries`` on work-request terminal responses -- how many seeded-backoff
-  retries the server spent before this answer,
+  retries the server spent before this answer (only a broken pool is
+  retried),
 - ``degraded: true`` plus ``degraded_to`` -- the circuit breaker
   tripped on the requested backend and the answer was computed on the
   named substitute spec one rung down the degradation ladder
@@ -489,12 +493,14 @@ def parse_request(obj: dict, max_frame_bytes: int = MAX_FRAME_BYTES) -> Request:
     backend = obj.get("backend", "analytic:e16")
     if not isinstance(backend, str):
         raise RequestError("bad-request", "'backend' must be a string")
-    from repro.machine.backends import resolve_backend
+    from repro.machine.backends import parse_backend, resolve_backend
 
     try:
-        _, spec = resolve_backend(backend)
+        parsed = parse_backend(backend)
+        _, spec = resolve_backend(parsed)
     except ValueError as exc:
         raise RequestError("unknown-backend", str(exc)) from exc
+    backend = str(parsed)  # one machine: one breaker window, one cache entry
     watchdog = obj.get("watchdog")
     if watchdog is not None:
         watchdog = _require_int(obj, "watchdog", 0, 1, 2**31)

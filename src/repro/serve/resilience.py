@@ -17,8 +17,8 @@ degradation decisions:
   delay for ``(request key, attempt)`` is the same in every process
   and every rerun, so retry schedules are reproducible evidence, not
   flakes.
-- :class:`CircuitBreaker` -- a rolling per-backend-spec outcome
-  window.  Enough failures trip the breaker; while open, profile
+- :class:`CircuitBreaker` -- a rolling outcome window per canonical
+  backend spec.  Enough failures trip the breaker; while open, profile
   requests transparently degrade one rung down the
   :func:`degrade_spec` ladder -- bare ``event:*`` onto the
   byte-identical trace-compiled ``replay(event:*)`` tier,
@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.exec.seeding import derive_seed
+from repro.machine.backends import parse_backend
 
 __all__ = [
     "AdmissionController",
@@ -163,7 +164,9 @@ class RetryPolicy:
 def degrade_spec(spec: str) -> str | None:
     """The next-cheaper substitute of an ``event``-engined backend spec.
 
-    Two-step degradation ladder (each breaker trip descends one rung):
+    Two-step degradation ladder (each breaker trip descends one rung),
+    a rewrite of the :func:`~repro.machine.backends.parse_backend`
+    value:
 
     - a bare ``event:*`` degrades onto ``replay(event:*)`` -- the
       trace-compiled tier, byte-identical to the cycle-accurate run
@@ -176,45 +179,18 @@ def degrade_spec(spec: str) -> str | None:
     ``faulty(<plan>):``-wrapped specs skip the replay rung: the replay
     machine refuses to cache fault-injected runs (the chaos gate
     depends on cold-run semantics), so a substitute that re-runs the
-    event engine cold buys nothing.  Wrappers are peeled and kept --
-    the injected environment is part of the request, only the engine
-    degrades -- and the innermost ``event`` token swaps straight to
-    ``analytic``.  Returns ``None`` when the spec has no rung left
-    below it (already analytic, unknown token): the breaker then has
-    no substitute to offer and stays advisory.
+    event engine cold buys nothing.  The ``faulty`` wrappers stay --
+    the injected environment is part of the request -- and the engine
+    goes straight to ``analytic``.  Returns ``None`` when the engine
+    is not ``event``: no rung is left below it.
     """
-    head = spec.strip()
-    prefix = ""
-    while head.startswith("faulty("):
-        depth, i = 0, 0
-        for i, ch in enumerate(head):
-            depth += ch == "("
-            depth -= ch == ")"
-            if ch == ")" and depth == 0:
-                break
-        else:
-            return None  # unbalanced parens: not ours to rewrite
-        if not head[i + 1:i + 2] == ":":
-            return None
-        prefix += head[:i + 2]
-        head = head[i + 2:]
-    if head.startswith("replay(") and head.endswith(")"):
-        head = head[len("replay("):-1].strip()
-        # replay(event:*) -> analytic:* (the rung below replay).
-        if head == "event":
-            return prefix + "analytic"
-        if head.startswith("event:"):
-            return prefix + "analytic" + head[len("event"):]
+    parsed = parse_backend(spec, default_spec="")
+    if parsed.engine != "event":
         return None
-    if head == "replay" or head.startswith("replay:"):
-        # Bare-token spelling: replay:e16 == replay(event:e16).
-        return prefix + "analytic" + head[len("replay"):]
-    if head == "event" or head.startswith("event:"):
-        if prefix:
-            # Fault-wrapped: replay would bypass its cache anyway.
-            return prefix + "analytic" + head[len("event"):]
-        return f"replay({head})"
-    return None
+    if not parsed.wrappers:
+        return str(replace(parsed, wrappers=("replay",)))
+    faulty = tuple(w for w in parsed.wrappers if w != "replay")
+    return str(replace(parsed, engine="analytic", wrappers=faulty))
 
 
 @dataclass

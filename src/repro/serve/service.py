@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 from repro.exec.cache import ResultCache, code_version, stable_digest
 from repro.exec.runner import TaskFailure, invoke
-from repro.faults.report import CONTAINED_CODES
 from repro.serve import protocol, workers
 from repro.serve.protocol import (
     HealthRequest,
@@ -99,8 +98,8 @@ class ServeSettings:
     """Per-connection concurrency cap (a single greedy client cannot
     drain the whole admission budget)."""
     max_retries: int = 1
-    """Seeded-backoff retries per request on contained faults and
-    broken pools; ``0`` disables retrying."""
+    """Seeded-backoff retries per request on a broken pool; ``0``
+    disables retrying."""
     retry_backoff_ms: float = 25.0
     """Base of the exponential retry backoff (jittered, capped)."""
     breaker_window: int = 8
@@ -677,15 +676,18 @@ class ImageService:
                     await send(frame)
                     return
                 # A contained fault (stall blame, injected fault) from
-                # the profile path: retryable -- the work is pure and
-                # the diagnosis structured.
-                retryable = err.get("code") in CONTAINED_CODES
-            else:
-                # Pool-level failure: a broken pool is retryable (the
-                # pool is rebuilt and the work is uncached); a task
-                # error is terminal.
-                _, fkind, ftext = outcome
-                retryable = fkind == "broken-pool"
+                # the profile path: the kernels are deterministic, so
+                # the diagnosis is the answer -- a retry would repeat it.
+                self._breaker_record(spec, verdict, ok=False)
+                await self._send_contained(
+                    request, err, retries, degraded, effective, send
+                )
+                return
+            # Pool-level failure: a broken pool is retryable (the pool
+            # is rebuilt and the work is uncached); a task error is
+            # terminal.
+            _, fkind, ftext = outcome
+            retryable = fkind == "broken-pool"
             delay = self._retry_delay_s(retryable, retries, digest, deadline, t0)
             if delay is not None:
                 retries += 1
@@ -694,11 +696,6 @@ class ImageService:
                 await asyncio.sleep(delay)
                 continue
             self._breaker_record(spec, verdict, ok=False)
-            if err is not None:
-                await self._send_contained(
-                    request, err, retries, degraded, effective, send
-                )
-                return
             code = "broken-pool" if fkind == "broken-pool" else "internal"
             await self._send_error(request.id, code, ftext, send, retries=retries)
             return

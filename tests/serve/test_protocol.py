@@ -7,7 +7,11 @@ import struct
 import numpy as np
 import pytest
 
-from repro.machine.backends import available_backends, resolve_backend
+from repro.machine.backends import (
+    available_backends,
+    parse_backend,
+    resolve_backend,
+)
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ImageRequest,
@@ -320,7 +324,8 @@ class TestProfileEnvelope:
         holds = machine_spec.mesh_rows >= 4 and machine_spec.mesh_cols >= 4
         request = {"kind": "profile", "kernel": "autofocus", "backend": name}
         if holds:
-            assert parse_request(request).backend == name
+            # The request keeps the canonical spelling of its spec.
+            assert parse_request(request).backend == str(parse_backend(name))
         else:
             with pytest.raises(RequestError, match="off-mesh"):
                 parse_request(request)

@@ -147,6 +147,20 @@ class TestDegradeSpec:
         assert degrade_spec("replay(analytic:e16)") is None
 
 
+class TestDegradeSpelling:
+    """The ladder reads the parsed spec, so every spelling of one
+    machine descends to the same rung."""
+
+    @pytest.mark.parametrize("spelling", ["e16", ":e16", "EVENT:E16", " event:e16 "])
+    def test_event_spellings_degrade_like_event_e16(self, spelling):
+        assert degrade_spec(spelling) == degrade_spec("event:e16")
+
+    def test_wrapped_bare_spec_degrades_like_its_event_form(self):
+        assert degrade_spec("faulty(flag:drop@n=1):e16") == degrade_spec(
+            "faulty(flag:drop@n=1):event:e16"
+        )
+
+
 class TestCircuitBreaker:
     def test_disabled_when_failures_zero(self):
         br = CircuitBreaker(window=4, failures=0, cooldown=2)

@@ -1050,6 +1050,40 @@ class TestProfilePath:
         assert health["faults"]["stalls"] >= 1
         assert health["faults"]["last_blame"] == blame
 
+    def test_contained_fault_is_answered_without_a_retry(self):
+        """A stall is a deterministic diagnosis: with a retry budget
+        left, it is still answered at once, not replayed from the
+        cache after a backoff."""
+        async def scenario(service):
+            frame, _ = await one_shot(service, {**STALL_PROFILE, "id": "s"})
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return frame, health
+
+        frame, health = service_test(scenario, max_retries=1)
+        assert frame["code"] == "stall"
+        assert frame["retries"] == 0
+        assert health["resilience"]["retries"] == 0
+        assert health["cache"]["hits"] == 0
+
+    def test_spellings_of_one_machine_share_cache_and_breaker(self):
+        """``e16`` and ``event:e16`` name one machine: the second
+        request is a cache hit, and the breaker keeps one window."""
+        profile = {"kind": "profile", "kernel": "ffbp", "pulses": 16, "ranges": 17}
+
+        async def scenario(service):
+            short, _ = await one_shot(service, {**profile, "id": "a", "backend": "e16"})
+            full, _ = await one_shot(
+                service, {**profile, "id": "b", "backend": "event:e16"}
+            )
+            health, _ = await one_shot(service, {"kind": "health", "id": "h"})
+            return short, full, health
+
+        short, full, health = service_test(scenario)
+        assert short["type"] == full["type"] == "result"
+        assert (short["cached"], full["cached"]) == (False, True)
+        assert short["backend"] == full["backend"] == "event:e16"
+        assert list(health["resilience"]["breaker"]["specs"]) == ["event:e16"]
+
 
 class TestLifecycle:
     def test_health_shape(self):

@@ -247,12 +247,55 @@ class TestFabricCli:
         out = capsys.readouterr().out
         assert "fabric" in out.lower()
 
+    @pytest.mark.parametrize("backend", ["replay(event)", "faulty():analytic", "e16"])
+    def test_sweep_ffbp_chips_reads_the_parsed_backend(self, backend, capsys):
+        """Wrapped engines compose with each point's fabric; a bare spec
+        token names a chip, so it is refused before any point runs."""
+        rc = main(["sweep", "ffbp-chips", "--backend", backend, "--chips", "1,2",
+                   "--pulses", "16", "--ranges", "33"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert rc == (2 if backend == "e16" else 0)
+
     def test_sweep_ffbp_chips_rejects_spec_suffix(self, capsys):
         rc = main(["sweep", "ffbp-chips", "--backend", "analytic:e16",
                    "--pulses", "64", "--ranges", "65"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "error:" in err and "bare backend" in err
+
+    @pytest.mark.parametrize(
+        ("argv", "needle"),
+        [
+            (["ffbp-cores", "--cores", "0"], "--cores: 0 is outside 1..16"),
+            (["ffbp-cores", "--cores", "1,32"], "--cores: 32 is outside 1..16"),
+            (["ffbp-chips", "--chips", "0"], "--chips: n_shards must be >= 1"),
+            (["ffbp-chips", "--chips", "1,3"], "--chips: n_shards must be a power"),
+        ],
+    )
+    def test_sweep_refuses_counts_it_cannot_run(self, argv, needle, capsys):
+        """Counts outside the chip or the merge tree are usage errors:
+        exit 2 with one ``error:`` line, before any simulation."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", *argv, "--pulses", "16", "--ranges", "33"])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_sweep_cores_bound_follows_the_backend_chip(self, capsys):
+        rc = main(["sweep", "ffbp-cores", "--backend", "analytic:e64",
+                   "--cores", "32,64", "--pulses", "16", "--ranges", "33"])
+        assert rc == 0
+
+    @pytest.mark.parametrize("backend", ["faulty():analytic", "faulty():analytic:e64"])
+    def test_af_units_defaults_to_e64_under_wrappers(self, backend, capsys):
+        assert main(["sweep", "af-units", "--backend", "analytic"]) == 0
+        bare = capsys.readouterr().out
+        assert main(["sweep", "af-units", "--backend", backend]) == 0
+        assert capsys.readouterr().out == bare
 
     @pytest.mark.parametrize(
         ("spec", "needle"),
