@@ -38,7 +38,7 @@ CEILING_FACTOR = 2.0
 BASELINE_P50_MS = {
     "table1-event": 214.0,
     "sweep-analytic": 42.0,
-    "verify-quick": 512.0,
+    "verify-quick": 81.0,
 }
 WORKLOADS = [
     w["name"]

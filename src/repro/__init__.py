@@ -28,29 +28,58 @@ Quickstart::
     print(image.peak_pixel())
 """
 
-from repro.eval.table1 import autofocus_table, ffbp_table, full_table1
-from repro.geometry.antenna import (
-    IsotropicAntenna,
-    SpotlightAntenna,
-    StripmapAntenna,
-)
-from repro.geometry.scene import PointTarget, Scene
-from repro.geometry.trajectory import LinearTrajectory, PerturbedTrajectory
-from repro.machine.chip import EpiphanyChip
-from repro.machine.cpu import CpuMachine
-from repro.machine.profile import profile_run
-from repro.machine.specs import CpuSpec, EpiphanySpec
-from repro.machine.tracing import ActivityRecorder
-from repro.runtime.dataflow import DataflowGraph
-from repro.sar.analysis import impulse_response
-from repro.sar.autofocus import autofocus_search, ffbp_with_autofocus
-from repro.sar.chain import ProcessingChain
-from repro.sar.config import RadarConfig
-from repro.sar.ffbp import FfbpOptions, ffbp
-from repro.sar.gbp import gbp_cartesian, gbp_polar
-from repro.sar.grids import CartesianGrid, PolarGrid
-from repro.sar.rda import range_doppler_image
-from repro.sar.simulate import simulate_compressed, simulate_raw
+from importlib import import_module
+
+_EXPORTS: dict[str, str] = {
+    "autofocus_table": "repro.eval.table1",
+    "ffbp_table": "repro.eval.table1",
+    "full_table1": "repro.eval.table1",
+    "IsotropicAntenna": "repro.geometry.antenna",
+    "SpotlightAntenna": "repro.geometry.antenna",
+    "StripmapAntenna": "repro.geometry.antenna",
+    "PointTarget": "repro.geometry.scene",
+    "Scene": "repro.geometry.scene",
+    "LinearTrajectory": "repro.geometry.trajectory",
+    "PerturbedTrajectory": "repro.geometry.trajectory",
+    "EpiphanyChip": "repro.machine.chip",
+    "CpuMachine": "repro.machine.cpu",
+    "profile_run": "repro.machine.profile",
+    "CpuSpec": "repro.machine.specs",
+    "EpiphanySpec": "repro.machine.specs",
+    "ActivityRecorder": "repro.machine.tracing",
+    "DataflowGraph": "repro.runtime.dataflow",
+    "impulse_response": "repro.sar.analysis",
+    "autofocus_search": "repro.sar.autofocus",
+    "ffbp_with_autofocus": "repro.sar.autofocus",
+    "ProcessingChain": "repro.sar.chain",
+    "RadarConfig": "repro.sar.config",
+    "FfbpOptions": "repro.sar.ffbp",
+    "ffbp": "repro.sar.ffbp",
+    "gbp_cartesian": "repro.sar.gbp",
+    "gbp_polar": "repro.sar.gbp",
+    "CartesianGrid": "repro.sar.grids",
+    "PolarGrid": "repro.sar.grids",
+    "range_doppler_image": "repro.sar.rda",
+    "simulate_compressed": "repro.sar.simulate",
+    "simulate_raw": "repro.sar.simulate",
+}
+"""Public name -> the module that defines it.  Names load on first
+access (PEP 562), so ``import repro.serve.service`` -- or any other
+entry point -- imports only the layers it uses."""
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "1.0.0"
 

@@ -5,8 +5,12 @@ core counts, execution time, throughput (autofocus), speedup over the
 sequential i7 reference, and estimated power -- plus, beyond the paper,
 the activity model's measured average power.
 
-The paper's reference numbers are kept in :data:`PAPER_TABLE1` so
-benchmarks can assert the reproduction's shape.
+The row arithmetic lives in :func:`ffbp_rows` and
+:func:`autofocus_rows`, which build a case study's rows from its three
+runs; :func:`ffbp_table` and :func:`autofocus_table` make those runs
+and call them, and the verify gate's Table-I fingerprint calls them on
+its shared runs.  The paper's reference numbers are kept in
+:data:`PAPER_TABLE1` so benchmarks can assert the reproduction's shape.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from repro.kernels.ffbp_common import FfbpPlan, plan_ffbp
 from repro.kernels.ffbp_seq import run_ffbp_seq_epiphany
 from repro.kernels.ffbp_spmd import run_ffbp_spmd
 from repro.kernels.opcounts import AutofocusWorkload
+from repro.machine.api import RunResult
 from repro.machine.backends import resolve_backend
-from repro.machine.cpu import CpuMachine
+from repro.machine.cpu import CpuMachine, CpuRunResult
 from repro.machine.specs import CpuSpec, EpiphanySpec
 from repro.sar.config import RadarConfig
 
@@ -102,6 +107,71 @@ class Table1:
         )
 
 
+# -- row arithmetic ----------------------------------------------------------
+
+def _rows(
+    prefix: str,
+    r_cpu: CpuRunResult,
+    r_seq: RunResult,
+    r_par: RunResult,
+    espec: EpiphanySpec,
+    cspec: CpuSpec,
+    par_cores: int,
+    pixels: int | None = None,
+) -> Table1:
+    """The i7, sequential-Epiphany and parallel-Epiphany rows of one
+    case study; ``pixels`` adds the throughput column."""
+
+    def row(name, cores, r, power_w, model_w) -> Table1Row:
+        return Table1Row(
+            name=f"{prefix}_{name}",
+            cores=cores,
+            time_ms=r.seconds * 1e3,
+            throughput_px_s=None if pixels is None else pixels / r.seconds,
+            speedup=r_cpu.seconds / r.seconds,
+            estimated_power_w=power_w,
+            modeled_power_w=model_w,
+            energy_j=r.energy_joules,
+        )
+
+    chip_w = espec.datasheet_chip_power_w
+    return Table1(
+        (
+            row("cpu", 1, r_cpu, cspec.power_w, cspec.power_w),
+            row("epi_seq", 1, r_seq, chip_w, r_seq.average_power_w),
+            row("epi_par", par_cores, r_par, chip_w, r_par.average_power_w),
+        )
+    )
+
+
+def ffbp_rows(
+    r_cpu: CpuRunResult,
+    r_seq: RunResult,
+    r_par: RunResult,
+    espec: EpiphanySpec,
+    cspec: CpuSpec,
+    n_cores: int = 16,
+) -> Table1:
+    """The three FFBP rows of Table I from their three runs: the i7
+    reference, the sequential Epiphany kernel and the ``n_cores`` SPMD
+    kernel."""
+    return _rows("ffbp", r_cpu, r_seq, r_par, espec, cspec, n_cores)
+
+
+def autofocus_rows(
+    r_cpu: CpuRunResult,
+    r_seq: RunResult,
+    r_par: RunResult,
+    espec: EpiphanySpec,
+    cspec: CpuSpec,
+    work: AutofocusWorkload,
+) -> Table1:
+    """The three autofocus rows of Table I from their three runs: the
+    i7 reference, the sequential Epiphany kernel and the 13-core MPMD
+    pipeline; throughput is ``work.pixels`` per run second."""
+    return _rows("af", r_cpu, r_seq, r_par, espec, cspec, 13, work.pixels)
+
+
 # -- row workers (module level: picklable for parallel fan-out) -------------
 
 def _ffbp_row(
@@ -172,40 +242,7 @@ def ffbp_table(
             ]
         )
     )
-
-    rows = (
-        Table1Row(
-            name="ffbp_cpu",
-            cores=1,
-            time_ms=r_cpu.seconds * 1e3,
-            throughput_px_s=None,
-            speedup=1.0,
-            estimated_power_w=cspec.power_w,
-            modeled_power_w=cspec.power_w,
-            energy_j=r_cpu.energy_joules,
-        ),
-        Table1Row(
-            name="ffbp_epi_seq",
-            cores=1,
-            time_ms=r_seq.seconds * 1e3,
-            throughput_px_s=None,
-            speedup=r_cpu.seconds / r_seq.seconds,
-            estimated_power_w=espec.datasheet_chip_power_w,
-            modeled_power_w=r_seq.average_power_w,
-            energy_j=r_seq.energy_joules,
-        ),
-        Table1Row(
-            name="ffbp_epi_par",
-            cores=n_cores,
-            time_ms=r_par.seconds * 1e3,
-            throughput_px_s=None,
-            speedup=r_cpu.seconds / r_par.seconds,
-            estimated_power_w=espec.datasheet_chip_power_w,
-            modeled_power_w=r_par.average_power_w,
-            energy_j=r_par.energy_joules,
-        ),
-    )
-    return Table1(rows)
+    return ffbp_rows(r_cpu, r_seq, r_par, espec, cspec, n_cores)
 
 
 def autofocus_table(
@@ -235,43 +272,7 @@ def autofocus_table(
             ]
         )
     )
-
-    def tput(seconds: float) -> float:
-        return w.pixels / seconds
-
-    rows = (
-        Table1Row(
-            name="af_cpu",
-            cores=1,
-            time_ms=r_cpu.seconds * 1e3,
-            throughput_px_s=tput(r_cpu.seconds),
-            speedup=1.0,
-            estimated_power_w=cspec.power_w,
-            modeled_power_w=cspec.power_w,
-            energy_j=r_cpu.energy_joules,
-        ),
-        Table1Row(
-            name="af_epi_seq",
-            cores=1,
-            time_ms=r_seq.seconds * 1e3,
-            throughput_px_s=tput(r_seq.seconds),
-            speedup=r_cpu.seconds / r_seq.seconds,
-            estimated_power_w=espec.datasheet_chip_power_w,
-            modeled_power_w=r_seq.average_power_w,
-            energy_j=r_seq.energy_joules,
-        ),
-        Table1Row(
-            name="af_epi_par",
-            cores=13,
-            time_ms=r_par.seconds * 1e3,
-            throughput_px_s=tput(r_par.seconds),
-            speedup=r_cpu.seconds / r_par.seconds,
-            estimated_power_w=espec.datasheet_chip_power_w,
-            modeled_power_w=r_par.average_power_w,
-            energy_j=r_par.energy_joules,
-        ),
-    )
-    return Table1(rows)
+    return autofocus_rows(r_cpu, r_seq, r_par, espec, cspec, w)
 
 
 def full_table1(

@@ -250,11 +250,16 @@ class ResultCache:
             with self._lock:
                 self.stores += 1
 
-    def clear(self) -> None:
-        """Drop the memory tier (disk entries and counters survive)."""
+    def clear(self, of_type: type | None = None) -> None:
+        """Drop the memory tier, or only its values of type ``of_type``
+        (disk entries and counters survive)."""
         with self._lock:
-            self._memory.clear()
-            self._bytes = 0
+            for key in [
+                k
+                for k, (v, _) in self._memory.items()
+                if of_type is None or isinstance(v, of_type)
+            ]:
+                self._bytes -= self._memory.pop(key)[1]
 
     def stats(self) -> dict[str, int]:
         with self._lock:

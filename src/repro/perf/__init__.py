@@ -56,9 +56,10 @@ def memo_disabled() -> Iterator[None]:
         _enabled = prev
 
 
-def clear_memo() -> None:
-    """Drop every resident entry (disk entries and counters survive)."""
-    _STORE.clear()
+def clear_memo(of_type: type | None = None) -> None:
+    """Drop every resident entry, or only the values of type ``of_type``
+    (disk entries and counters survive)."""
+    _STORE.clear(of_type)
 
 
 def memo_stats() -> dict[str, int]:

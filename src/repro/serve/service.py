@@ -680,7 +680,8 @@ class ImageService:
                 # the diagnosis is the answer -- a retry would repeat it.
                 self._breaker_record(spec, verdict, ok=False)
                 await self._send_contained(
-                    request, err, retries, degraded, effective, send
+                    request, err, retries, degraded, effective, send,
+                    cached=bool(cached), elapsed_ms=round(elapsed * 1e3, 3),
                 )
                 return
             # Pool-level failure: a broken pool is retryable (the pool
@@ -701,16 +702,23 @@ class ImageService:
             return
 
     async def _send_contained(
-        self, request, err: dict, retries: int, degraded: bool, effective, send
+        self, request, err: dict, retries: int, degraded: bool, effective, send,
+        cached: bool, elapsed_ms: float,
     ) -> None:
-        """Answer with a contained fault's structured diagnosis."""
+        """Answer with a contained fault's structured diagnosis, flagged
+        ``cached`` and timed like a result frame."""
         self.stats.contained_faults += 1
         self._window.record("contained_fault")
         self.stats.last_fault = err.get("detail")
         if err.get("code") == "stall":
             self.stats.stalls += 1
             self.stats.last_blame = err.get("blame")
-        extra = {"outcome": err.get("outcome"), "retries": retries}
+        extra = {
+            "outcome": err.get("outcome"),
+            "retries": retries,
+            "cached": cached,
+            "elapsed_ms": elapsed_ms,
+        }
         if err.get("blame"):
             extra["blame"] = err["blame"]
         if degraded:

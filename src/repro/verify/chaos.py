@@ -716,6 +716,8 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
         and s1.get("cached") is True
         and s1.get("partials") == []
         and s1.get("sha256") == s0.get("sha256")
+        and by_id.get("f0", {}).get("cached") is False
+        and by_id.get("f1", {}).get("cached") is True
     )
     checks.append(
         Check(
@@ -724,7 +726,7 @@ def run_chaos_serve_case(case: int, seed: int) -> list[Check]:
             note=(
                 "repeat request served from cache with identical bytes; a "
                 "cold stream sends every merge level, its repeat the "
-                "cached result alone"
+                "cached result alone; a repeated stall is flagged cached"
             ),
         )
     )

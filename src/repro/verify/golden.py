@@ -33,7 +33,12 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.verify.oracles import EXACT_TRACE_FIELDS, RunInputs, verify_run
+from repro.verify.oracles import (
+    EXACT_TRACE_FIELDS,
+    RunInputs,
+    verify_cpu_run,
+    verify_run,
+)
 from repro.verify.tolerance import Check, Tolerance, check_equal, check_value
 
 __all__ = [
@@ -93,13 +98,35 @@ def table1_fingerprint(backend: str = "event:e16") -> dict:
 
     Times, speedups, modeled power and energy for all six rows -- the
     exact derived quantities the paper's headline numbers (4.25x/8.93x
-    speedups, ~38x/~78x energy gains) flow from.
+    speedups, ~38x/~78x energy gains) flow from.  The rows come from
+    the Table-I row functions of :mod:`repro.eval.table1` applied to
+    the gate's shared runs: the four Epiphany runs through
+    :func:`~repro.verify.oracles.verify_run` and the two i7 runs
+    through :func:`~repro.verify.oracles.verify_cpu_run`, all at
+    :class:`~repro.verify.oracles.RunInputs` defaults.
     """
     from repro.eval.energy import energy_efficiency_ratios
-    from repro.eval.table1 import autofocus_table, ffbp_table
+    from repro.eval.table1 import autofocus_rows, ffbp_rows
+    from repro.machine.backends import resolve_backend
+    from repro.machine.specs import CpuSpec
 
-    ffbp = ffbp_table(plan=RunInputs().plan, backend=backend)
-    af = autofocus_table(backend=backend)
+    inputs = RunInputs()
+    espec, cspec = resolve_backend(backend)[1], CpuSpec()
+    ffbp = ffbp_rows(
+        verify_cpu_run("ffbp", inputs),
+        verify_run("ffbp_seq", backend, inputs),
+        verify_run("ffbp_spmd16", backend, inputs),
+        espec,
+        cspec,
+    )
+    af = autofocus_rows(
+        verify_cpu_run("autofocus", inputs),
+        verify_run("autofocus_seq", backend, inputs),
+        verify_run("autofocus_mpmd", backend, inputs),
+        espec,
+        cspec,
+        inputs.work,
+    )
     rows: dict[str, dict] = {}
     for table in (ffbp, af):
         for r in table.rows:

@@ -19,9 +19,11 @@ into two contracts with different strengths:
 Every contract of the gate runs its kernels from one table,
 :data:`WORKLOADS` (name -> ``runner(machine, inputs)``), and reads its
 runs through :func:`verify_run`, which makes each (workload, backend,
-inputs) run once per process.  :func:`differential_oracle` compares one
-:class:`Workload` on a reference backend and a set of candidates;
-:func:`work_parity_oracle` adds the CPU-reference work comparison.
+inputs) run once per process; the i7 runs of :data:`CPU_REFERENCE` are
+read the same way through :func:`verify_cpu_run`.
+:func:`differential_oracle` compares one :class:`Workload` on a
+reference backend and a set of candidates; :func:`work_parity_oracle`
+adds the CPU-reference work comparison.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.kernels.opcounts import AutofocusWorkload
 from repro.machine.api import Machine, RunResult
 from repro.machine.backends import get_machine, resolve_backend
 from repro.machine.core import OpBlock
-from repro.machine.cpu import CpuMachine
+from repro.machine.cpu import CpuMachine, CpuRunResult
 from repro.perf import memo_key, memoize
 from repro.runtime.dataflow import linear_chain
 from repro.sar.config import RadarConfig
@@ -60,6 +62,7 @@ __all__ = [
     "RunInputs",
     "WORKLOADS",
     "Workload",
+    "verify_cpu_run",
     "verify_run",
     "oracle_workloads",
     "differential_oracle",
@@ -135,6 +138,15 @@ CPU_REFERENCE: dict[str, Callable[[RunInputs], Any]] = {
     "autofocus": lambda i: run_autofocus_cpu(CpuMachine(), i.work),
 }
 """The i7 reference runs: kernel family -> ``runner(inputs)``."""
+
+
+def verify_cpu_run(family: str, inputs: RunInputs) -> CpuRunResult:
+    """The :data:`CPU_REFERENCE` run of ``family``, made once per
+    process (the :func:`verify_run` memo, keyed on family and inputs)."""
+    return memoize(
+        memo_key("verify/cpu", (family, inputs)),
+        lambda: CPU_REFERENCE[family](inputs),
+    )
 
 
 def verify_run(name: str, backend: str, inputs: RunInputs) -> RunResult:
@@ -400,7 +412,7 @@ def work_parity_oracle(
         if wl.cpu is None:
             continue
         epi = wl.run(reference).trace
-        cpu = CPU_REFERENCE[wl.cpu](wl.inputs).trace
+        cpu = verify_cpu_run(wl.cpu, wl.inputs).trace
         checks.append(
             check_equal(
                 f"{wl.name}.work.total_flops",

@@ -140,14 +140,19 @@ def replay_identity_oracle(
     the cache (pre-state key + declared program keys), never from state
     carried on the machine object.  Recorder intervals are asserted
     identical too (count and content), since the activity timeline is
-    part of the replay contract.
+    part of the replay contract.  The oracle first drops the resident
+    compiled schedules (``clear_memo(CompiledSchedule)``), so the
+    capture runs in this call; every other memo entry -- the
+    :func:`~repro.verify.oracles.verify_run` runs, the FFBP plans --
+    stays resident.
     """
     from repro.machine.backends import get_machine
     from repro.machine.tracing import ActivityRecorder
     from repro.perf import clear_memo
+    from repro.replay.schedule import CompiledSchedule
 
     run = WORKLOADS[workload]
-    clear_memo()  # the capture must happen inside this cell
+    clear_memo(CompiledSchedule)  # the capture must happen inside this cell
     prefix = f"replay/{workload}/{spec}"
     checks: list[Check] = []
 

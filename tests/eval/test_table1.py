@@ -9,10 +9,21 @@ import pytest
 from repro.eval.energy import energy_efficiency_ratios
 from repro.eval.table1 import (
     PAPER_TABLE1,
+    autofocus_rows,
     autofocus_table,
+    ffbp_rows,
     ffbp_table,
 )
+from repro.kernels.autofocus_mpmd import run_autofocus_mpmd
+from repro.kernels.autofocus_seq import run_autofocus_seq_epiphany
+from repro.kernels.cpu_ref import run_autofocus_cpu, run_ffbp_cpu
+from repro.kernels.ffbp_common import plan_ffbp
+from repro.kernels.ffbp_seq import run_ffbp_seq_epiphany
+from repro.kernels.ffbp_spmd import run_ffbp_spmd
 from repro.kernels.opcounts import AutofocusWorkload
+from repro.machine.backends import get_machine
+from repro.machine.cpu import CpuMachine
+from repro.machine.specs import CpuSpec, EpiphanySpec
 from repro.sar.config import RadarConfig
 
 
@@ -101,6 +112,38 @@ class TestEnergyRatios:
     def test_modeled_ratio_also_favours_epiphany(self, af_small):
         r = energy_efficiency_ratios(af_small, "af_epi_par", "af_cpu")
         assert r.modeled > 10.0
+
+
+class TestRowFunctions:
+    """The tables are their row functions applied to the tables' runs."""
+
+    def test_ffbp_rows_equal_ffbp_table(self):
+        plan = plan_ffbp(RadarConfig.small(n_pulses=32, n_ranges=65))
+        table = ffbp_table(plan=plan, n_cores=4, backend="analytic")
+        rows = ffbp_rows(
+            run_ffbp_cpu(CpuMachine(), plan),
+            run_ffbp_seq_epiphany(get_machine("analytic"), plan),
+            run_ffbp_spmd(get_machine("analytic"), plan, 4),
+            EpiphanySpec(),
+            CpuSpec(),
+            n_cores=4,
+        )
+        assert rows == table
+        assert rows.row("ffbp_epi_par").cores == 4
+
+    def test_autofocus_rows_equal_autofocus_table(self):
+        work = AutofocusWorkload()
+        table = autofocus_table(work, backend="analytic")
+        rows = autofocus_rows(
+            run_autofocus_cpu(CpuMachine(), work),
+            run_autofocus_seq_epiphany(get_machine("analytic"), work),
+            run_autofocus_mpmd(get_machine("analytic"), work),
+            EpiphanySpec(),
+            CpuSpec(),
+            work,
+        )
+        assert rows == table
+        assert rows.row("af_cpu").speedup == 1.0
 
 
 class TestPaperReference:

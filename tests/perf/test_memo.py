@@ -109,6 +109,17 @@ class TestMemoize:
         assert after["hits"] == before["hits"] + 1
         assert after["stores"] == before["stores"] + 1
 
+    def test_clear_of_one_type_keeps_the_rest(self):
+        keep = memoize(memo_key("t/keep", ()), lambda: np.zeros(4))
+        memoize(memo_key("t/drop", ()), lambda: (np.zeros(8),))
+        assert memo_stats()["bytes"] == 32 + 64
+        clear_memo(tuple)
+        assert memo_stats()["entries"] == 1
+        assert memo_stats()["bytes"] == 32
+        assert memoize(memo_key("t/keep", ()), lambda: np.ones(4)) is keep
+        clear_memo()
+        assert (memo_stats()["entries"], memo_stats()["bytes"]) == (0, 0)
+
     def test_stats_have_the_store_shape(self):
         assert set(memo_stats()) == {
             "entries", "bytes", "hits", "misses", "disk_hits", "stores",

@@ -1065,6 +1065,20 @@ class TestProfilePath:
         assert health["resilience"]["retries"] == 0
         assert health["cache"]["hits"] == 0
 
+    def test_contained_fault_frame_says_whether_it_was_cached(self):
+        """A repeated stall is answered from the response cache, and its
+        error frame says so, timed like a result frame."""
+        async def scenario(service):
+            first, _ = await one_shot(service, {**STALL_PROFILE, "id": "s0"})
+            second, _ = await one_shot(service, {**STALL_PROFILE, "id": "s1"})
+            return first, second
+
+        first, second = service_test(scenario)
+        assert first["code"] == second["code"] == "stall"
+        assert (first["cached"], second["cached"]) == (False, True)
+        assert first["elapsed_ms"] > 0 and second["elapsed_ms"] > 0
+        assert second["blame"] == first["blame"]
+
     def test_spellings_of_one_machine_share_cache_and_breaker(self):
         """``e16`` and ``event:e16`` name one machine: the second
         request is a cache hit, and the breaker keeps one window."""

@@ -1,6 +1,11 @@
 """The public API surface: everything exported exists and coheres."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +45,34 @@ class TestTopLevel:
             "range_doppler_image",
         ):
             assert hasattr(repro, name), name
+
+
+def _fresh_import(module: str) -> list[str]:
+    """The ``repro`` modules a fresh interpreter loads to import ``module``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    code = (
+        f"import json, sys, {module}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return json.loads(out.stdout)
+
+
+class TestImportClosure:
+    def test_package_root_imports_no_layer(self):
+        assert _fresh_import("repro") == ["repro"]
+
+    def test_serve_loads_no_eval_or_verify_module(self):
+        loaded = _fresh_import("repro.serve.service")
+        assert "repro.serve.service" in loaded
+        leaked = [
+            m for m in loaded if m.startswith(("repro.eval", "repro.verify"))
+        ]
+        assert leaked == []
 
 
 class TestSubpackages:
